@@ -81,6 +81,9 @@ def _merge(args, command, spec):
             except ValueError as e:
                 raise UsageError("config [%s]: key %r: %s" % (command, key, e))
         out[key] = default if v is None else v
+    for key in ("samples", "resolution"):
+        if key in out and out[key] < 1:
+            raise UsageError("--%s must be at least 1, got %d" % (key, out[key]))
     return SimpleNamespace(**out)
 
 

@@ -47,6 +47,8 @@ def sample_sphere(n, seed):
 def _per_chunk(fn, n_samples, seed):
     """Apply fn to every sample chunk; return the results in chunk order."""
     n_samples = int(n_samples)
+    if n_samples < 1:
+        raise ValueError("need at least one sample, got %d" % n_samples)
     sizes = []
     left = n_samples
     while left > 0:

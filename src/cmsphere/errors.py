@@ -9,14 +9,6 @@ class ZeroVector(CmsphereError):
     """A position or direction argument had (near-)zero length."""
 
 
-class OutOfChart(CmsphereError):
-    """A point fell outside the hemisphere covered by a tangent chart."""
-
-
-class NonTangentDirection(CmsphereError):
-    """A direction that should be tangent has a radial component."""
-
-
 class DegenerateTriangle(CmsphereError):
     """Triangle vertices are numerically coplanar with the origin."""
 

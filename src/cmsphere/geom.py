@@ -5,11 +5,10 @@ the same code serves single points and large batches.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OutOfChart, ZeroVector
+from .errors import ZeroVector
 
 # Threshold on |z| beyond which the reference axis for tangent frames
 # switches from e3 to e1.
@@ -17,13 +16,6 @@ POLE_TOL = 1.0 - 1e-12
 
 _E1 = np.array([1.0, 0.0, 0.0])
 _E3 = np.array([0.0, 0.0, 1.0])
-
-
-class SphCoord(NamedTuple):
-    """Spherical coordinates: longitude in [0, 2pi), colatitude in (0, pi)."""
-
-    lam: float
-    theta: float
 
 
 def radial_project(v):
@@ -136,26 +128,6 @@ class TangentFrame:
     base: np.ndarray
     g1: np.ndarray
     g2: np.ndarray
-
-    @classmethod
-    def at(cls, base):
-        base = np.asarray(base, dtype=float)
-        g1, g2 = vertex_frames(base)
-        return cls(base=base, g1=g1, g2=g2)
-
-
-def tangent_coords(frame, q):
-    """Frame components (<q, g1>, <q, g2>) of points near the frame base.
-
-    Raises
-    ------
-    OutOfChart
-        If any point lies on or beyond the equator of the base point.
-    """
-    q = np.asarray(q, dtype=float)
-    if np.any(np.sum(q * frame.base, axis=-1) <= 0.0):
-        raise OutOfChart("point is not in the open hemisphere of the chart")
-    return np.sum(q * frame.g1, axis=-1), np.sum(q * frame.g2, axis=-1)
 
 
 def stencil_point(frame, s1, s2):

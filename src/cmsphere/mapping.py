@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ZeroVector
 from .geom import project_differential, vertex_frames
-from .mesh import build_icosahedral
+from .mesh import build_icosahedral, locate_batch
 from .spline import HermiteData, MacroSpline, interpolate
 
 # Map evaluations whose pre-projection norm falls below this are treated as
@@ -54,17 +54,9 @@ class SphereMap:
             raise ValueError("map vertex values stray too far from the sphere")
         return cls(interpolate(mesh, HermiteData(values, d1, d2)))
 
-    @classmethod
-    def identity(cls, mesh):
-        """The identity map: component c has gradient (g1[c], g2[c])."""
-        return cls.from_hermite(mesh, mesh.vertices.copy(), mesh.g1.copy(), mesh.g2.copy())
-
-    def eval_raw(self, p):
-        """Componentwise spline values before projection, shape (n, 3)."""
-        return self.spline.eval(np.atleast_2d(np.asarray(p, dtype=float)))
-
-    def eval(self, p):
-        """Mapped points on the sphere.
+    def eval(self, p, dirs=None):
+        """Mapped points on the sphere; with directions dirs (n, q, 3), also
+        the directions pushed through the projected map, (n, q, 3).
 
         Raises
         ------
@@ -72,69 +64,16 @@ class SphereMap:
             If a pre-projection value has norm below MIN_PRE_NORM.
         """
         p = np.asarray(p, dtype=float)
-        single = p.ndim == 1
-        raw = self.eval_raw(p)
-        n = np.linalg.norm(raw, axis=-1, keepdims=True)
-        if np.any(n < MIN_PRE_NORM):
-            raise ZeroVector("map value collapsed toward the origin")
-        out = raw / n
-        return out[0] if single else out
-
-    def differential(self, p, v):
-        """Push tangent vectors v at p through the projected map."""
-        p = np.asarray(p, dtype=float)
-        v = np.asarray(v, dtype=float)
-        single = p.ndim == 1
-        pts = np.atleast_2d(p)
-        vs = np.atleast_2d(v)
-        raw = self.eval_raw(pts)
-        w = self.spline.derivative(pts, vs)
-        out = project_differential(raw, w)
-        return out[0] if single else out
-
-    def _located_jet(self, pts, tangents):
-        """Shared evaluation for chains: mapped points, pushed tangents, det.
-
-        tangents has shape (n, q, 3); the pushed tangents keep that shape.
-        Returns (points, pushed, dets) where dets are the frame Jacobian
-        determinants at pts.
-        """
-        from .mesh import locate_batch
-
-        tri, sub, bary = locate_batch(self.mesh, pts)
+        tri, sub, bary = locate_batch(self.mesh, np.atleast_2d(p))
         raw = self.spline.eval_located(tri, sub, bary)
         n = np.linalg.norm(raw, axis=-1, keepdims=True)
         if np.any(n < MIN_PRE_NORM):
             raise ZeroVector("map value collapsed toward the origin")
         out = raw / n
-
-        ga, gb = vertex_frames(pts)
-        wa = self.spline.derivative_located(tri, sub, bary, ga)
-        wb = self.spline.derivative_located(tri, sub, bary, gb)
-        pa = project_differential(raw, wa)
-        pb = project_differential(raw, wb)
-        oa, ob = vertex_frames(out)
-        m11 = np.sum(pa * oa, axis=-1)
-        m12 = np.sum(pa * ob, axis=-1)
-        m21 = np.sum(pb * oa, axis=-1)
-        m22 = np.sum(pb * ob, axis=-1)
-        dets = m11 * m22 - m12 * m21
-
-        pushed = None
-        if tangents is not None:
-            q = tangents.shape[1]
-            flatv = tangents.reshape(-1, 3)
-            rep = np.repeat(np.arange(pts.shape[0]), q)
-            w = self.spline.derivative_located(tri[rep], sub[rep], bary[rep], flatv)
-            pushed = project_differential(raw[rep], w).reshape(tangents.shape)
-        return out, pushed, dets
-
-    def jacobian(self, p):
-        """Frame Jacobian determinant of the projected map at p."""
-        p = np.asarray(p, dtype=float)
-        single = p.ndim == 1
-        _, _, dets = self._located_jet(np.atleast_2d(p), None)
-        return float(dets[0]) if single else dets
+        if dirs is None:
+            return out[0] if p.ndim == 1 else out
+        w = self.spline.derivative_located(tri, sub, bary, dirs)
+        return out, project_differential(raw[:, None, :], w)
 
 
 @dataclass
@@ -155,29 +94,40 @@ class MapChain:
     def n_submaps(self):
         return len(self.maps)
 
-    def eval(self, p):
-        p = np.asarray(p, dtype=float)
-        single = p.ndim == 1
-        out = np.atleast_2d(p)
+    def _walk(self, p, tangents=None, jacobian=False):
+        """Push points, and tangents (n, q, 3) if given, through the submaps
+        newest first. With jacobian, the tangents are each step's vertex
+        frames and the frame determinants multiply into dets."""
+        out = np.atleast_2d(np.asarray(p, dtype=float))
+        dets = np.ones(out.shape[0])
         for m in reversed(self.maps):
-            out = m.eval(out)
-        return out[0] if single else out
+            if jacobian:
+                tangents = np.stack(vertex_frames(out), axis=1)
+            if tangents is None:
+                out = m.eval(out)
+                continue
+            out, tangents = m.eval(out, tangents)
+            if jacobian:
+                oa, ob = vertex_frames(out)
+                pa, pb = tangents[:, 0], tangents[:, 1]
+                m11 = np.sum(pa * oa, axis=-1)
+                m12 = np.sum(pa * ob, axis=-1)
+                m21 = np.sum(pb * oa, axis=-1)
+                m22 = np.sum(pb * ob, axis=-1)
+                dets = dets * (m11 * m22 - m12 * m21)
+        return out, tangents, dets
+
+    def eval(self, p):
+        """Footpoints of unit points p, shape (n, 3) or (3,)."""
+        out = self._walk(p)[0]
+        return out[0] if np.ndim(p) == 1 else out
 
     def eval_with_jacobian(self, p):
         """Mapped points and the chained Jacobian determinant."""
-        p = np.asarray(p, dtype=float)
-        single = p.ndim == 1
-        out = np.atleast_2d(p)
-        dets = np.ones(out.shape[0])
-        for m in reversed(self.maps):
-            out, _, d = m._located_jet(out, None)
-            dets = dets * d
-        if single:
+        out, _, dets = self._walk(p, jacobian=True)
+        if np.ndim(p) == 1:
             return out[0], float(dets[0])
         return out, dets
-
-    def jacobian(self, p):
-        return self.eval_with_jacobian(p)[1]
 
     def jet(self, p, tangents):
         """Push points and per-point tangent bundles through the chain.
@@ -185,10 +135,7 @@ class MapChain:
         p : (n, 3); tangents : (n, q, 3). Returns (points, tangents) of the
         same shapes. An empty chain returns the inputs unchanged.
         """
-        out = np.atleast_2d(np.asarray(p, dtype=float))
-        tang = np.asarray(tangents, dtype=float)
-        for m in reversed(self.maps):
-            out, tang, _ = m._located_jet(out, tang)
+        out, tang, _ = self._walk(p, np.asarray(tangents, dtype=float))
         return out, tang
 
 
@@ -211,7 +158,14 @@ def save_chain(chain, path):
 
 
 def load_chain(path, mesh=None):
-    """Rebuild a serialized chain, reconstructing the mesh if not supplied."""
+    """Rebuild a serialized chain, reconstructing the mesh if not supplied.
+
+    Raises
+    ------
+    ValueError
+        If the format, level, coefficient shape or breaks do not fit the
+        layout save_chain writes.
+    """
     with np.load(path) as z:
         if int(z["format"]) != _CHAIN_FORMAT:
             raise ValueError("unknown chain format %r" % int(z["format"]))
@@ -222,5 +176,10 @@ def load_chain(path, mesh=None):
         mesh = build_icosahedral(level)
     elif mesh.level != level:
         raise ValueError("chain was saved at refinement %d, mesh is %d" % (level, mesh.level))
+    if coeffs.shape != coeffs.shape[:1] + (mesh.n_triangles, 19, 3):
+        raise ValueError("chain coefficients have shape %s, want (n_maps, %d, 19, 3)"
+                         % (coeffs.shape, mesh.n_triangles))
+    if len(breaks) != len(coeffs) + 1 or np.any(np.diff(breaks) < 0.0):
+        raise ValueError("chain breaks must be %d non-decreasing times" % (len(coeffs) + 1))
     maps = [SphereMap(MacroSpline(mesh, c, scalar=False)) for c in coeffs]
     return MapChain(mesh=mesh, maps=maps, breaks=breaks)

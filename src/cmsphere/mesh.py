@@ -51,15 +51,6 @@ _GRID_SENTINEL = np.iinfo(np.int64).max
 
 
 @dataclass
-class Location:
-    """Result of point location: macro triangle, sub-triangle, coordinates."""
-
-    triangle: int
-    sub: int
-    bary: np.ndarray
-
-
-@dataclass
 class SphereMesh:
     level: int
     vertices: np.ndarray
@@ -411,12 +402,6 @@ def locate_batch(mesh, p):
     if single:
         return cur[0], sub[0], bary[0]
     return cur, sub, bary
-
-
-def locate(mesh, p):
-    """Locate a single unit point; see locate_batch."""
-    tri, sub, bary = locate_batch(mesh, np.asarray(p, dtype=float).reshape(3))
-    return Location(triangle=int(tri), sub=int(sub), bary=bary)
 
 
 def edge_arc_lengths(mesh):

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonTangentDirection
 from .mesh import SUB_COEF, locate_batch
 
 
@@ -114,67 +113,42 @@ class MacroSpline:
         self.coeffs = coeffs
         self.scalar = scalar
 
-    @property
-    def n_components(self):
-        return self.coeffs.shape[2]
-
-    def _sub_coeffs(self, tri, sub):
-        return self.coeffs[tri[:, None], SUB_COEF[sub]]
+    def _first_stage(self, tri, sub, bary):
+        """Gather each point's six sub-triangle coefficients and run the
+        first de Casteljau stage, giving three (n, m) partial values."""
+        cf = self.coeffs[tri[:, None], SUB_COEF[sub]]
+        b1 = bary[:, 0, None]
+        b2 = bary[:, 1, None]
+        b3 = bary[:, 2, None]
+        e1 = b1 * cf[:, 0] + b2 * cf[:, 3] + b3 * cf[:, 5]
+        e2 = b1 * cf[:, 3] + b2 * cf[:, 1] + b3 * cf[:, 4]
+        e3 = b1 * cf[:, 5] + b2 * cf[:, 4] + b3 * cf[:, 2]
+        return e1, e2, e3
 
     def eval_located(self, tri, sub, bary):
         """Values at already-located points, shape (n, m)."""
-        cf = self._sub_coeffs(tri, sub)
-        b1 = bary[:, 0, None]
-        b2 = bary[:, 1, None]
-        b3 = bary[:, 2, None]
-        e1 = b1 * cf[:, 0] + b2 * cf[:, 3] + b3 * cf[:, 5]
-        e2 = b1 * cf[:, 3] + b2 * cf[:, 1] + b3 * cf[:, 4]
-        e3 = b1 * cf[:, 5] + b2 * cf[:, 4] + b3 * cf[:, 2]
-        return b1 * e1 + b2 * e2 + b3 * e3
+        e1, e2, e3 = self._first_stage(tri, sub, bary)
+        return bary[:, 0, None] * e1 + bary[:, 1, None] * e2 + bary[:, 2, None] * e3
 
     def derivative_located(self, tri, sub, bary, g):
-        """Directional derivatives along g (n, 3) at located points."""
-        cf = self._sub_coeffs(tri, sub)
-        bg = np.einsum("nij,nj->ni", self.mesh.sub_inv[tri, sub], g)
-        b1 = bary[:, 0, None]
-        b2 = bary[:, 1, None]
-        b3 = bary[:, 2, None]
-        e1 = b1 * cf[:, 0] + b2 * cf[:, 3] + b3 * cf[:, 5]
-        e2 = b1 * cf[:, 3] + b2 * cf[:, 1] + b3 * cf[:, 4]
-        e3 = b1 * cf[:, 5] + b2 * cf[:, 4] + b3 * cf[:, 2]
-        return 2.0 * (bg[:, 0, None] * e1 + bg[:, 1, None] * e2 + bg[:, 2, None] * e3)
-
-    def _shape_out(self, out, single):
-        if self.scalar:
-            out = out[:, 0]
-        return out[0] if single else out
+        """Derivatives along directions g (n, q, 3) at located points,
+        shape (n, q, m); every direction shares one gather and stage."""
+        e1, e2, e3 = self._first_stage(tri, sub, bary)
+        bg = np.einsum("nij,nqj->nqi", self.mesh.sub_inv[tri, sub], g)
+        return 2.0 * (
+            bg[..., 0, None] * e1[:, None]
+            + bg[..., 1, None] * e2[:, None]
+            + bg[..., 2, None] * e3[:, None]
+        )
 
     def eval(self, p):
         """Evaluate at unit points, shape (..., 3) -> (...,) or (..., m)."""
         p = np.asarray(p, dtype=float)
-        single = p.ndim == 1
-        pts = np.atleast_2d(p)
-        tri, sub, bary = locate_batch(self.mesh, pts)
-        return self._shape_out(self.eval_located(tri, sub, bary), single)
-
-    def derivative(self, p, g):
-        """Directional derivative along tangent directions g at points p.
-
-        Raises
-        ------
-        NonTangentDirection
-            If some |g . p| exceeds 1e-8 * |g|.
-        """
-        p = np.asarray(p, dtype=float)
-        g = np.asarray(g, dtype=float)
-        single = p.ndim == 1
-        pts = np.atleast_2d(p)
-        gs = np.atleast_2d(g)
-        radial = np.abs(np.sum(pts * gs, axis=-1))
-        if np.any(radial > 1e-8 * np.linalg.norm(gs, axis=-1)):
-            raise NonTangentDirection("direction has a radial component")
-        tri, sub, bary = locate_batch(self.mesh, pts)
-        return self._shape_out(self.derivative_located(tri, sub, bary, gs), single)
+        tri, sub, bary = locate_batch(self.mesh, np.atleast_2d(p))
+        out = self.eval_located(tri, sub, bary)
+        if self.scalar:
+            out = out[:, 0]
+        return out[0] if p.ndim == 1 else out
 
 
 def interpolate(mesh, data):
@@ -200,20 +174,3 @@ def interpolate(mesh, data):
         d2 = d2[:, None]
     coeffs = build_coefficients(mesh, values, d1, d2)
     return MacroSpline(mesh, coeffs, scalar)
-
-
-def bernstein_value(coeffs6, bary):
-    """Direct Bernstein-form evaluation, the cross-check for de Casteljau.
-
-    coeffs6 holds (c200, c020, c002, c110, c011, c101) in the last-but-one
-    axis, matching MacroSpline._sub_coeffs output.
-    """
-    b1 = bary[:, 0, None]
-    b2 = bary[:, 1, None]
-    b3 = bary[:, 2, None]
-    return (
-        coeffs6[:, 0] * b1 * b1
-        + coeffs6[:, 1] * b2 * b2
-        + coeffs6[:, 2] * b3 * b3
-        + 2.0 * (coeffs6[:, 3] * b1 * b2 + coeffs6[:, 4] * b2 * b3 + coeffs6[:, 5] * b1 * b3)
-    )

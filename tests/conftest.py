@@ -1,7 +1,31 @@
 import numpy as np
 
 from cmsphere.geom import radial_project
-from cmsphere.mesh import _edge_triangle_pairs
+from cmsphere.mesh import _edge_triangle_pairs, locate_batch
+
+
+def derivative(spline, p, g):
+    """Directional derivatives along g (n, 3) at unit points p (n, 3)."""
+    tri, sub, bary = locate_batch(spline.mesh, p)
+    d = spline.derivative_located(tri, sub, bary, g[:, None])[:, 0]
+    return d[:, 0] if spline.scalar else d
+
+
+def bernstein_value(coeffs6, bary):
+    """Direct Bernstein-form evaluation, the cross-check for de Casteljau.
+
+    coeffs6 holds (c200, c020, c002, c110, c011, c101) in the last-but-one
+    axis, the order of the rows of mesh.SUB_COEF.
+    """
+    b1 = bary[:, 0, None]
+    b2 = bary[:, 1, None]
+    b3 = bary[:, 2, None]
+    return (
+        coeffs6[:, 0] * b1 * b1
+        + coeffs6[:, 1] * b2 * b2
+        + coeffs6[:, 2] * b3 * b3
+        + 2.0 * (coeffs6[:, 3] * b1 * b2 + coeffs6[:, 4] * b2 * b3 + coeffs6[:, 5] * b1 * b3)
+    )
 
 
 def locate_in_triangle(mesh, tri, pts):
@@ -33,7 +57,7 @@ def edge_jumps(spline, n_pts):
             tri = pair[:, side]
             sub, bary = locate_in_triangle(mesh, tri, pts)
             vals.append(spline.eval_located(tri, sub, bary)[:, 0])
-            ders.append(spline.derivative_located(tri, sub, bary, normal)[:, 0])
+            ders.append(spline.derivative_located(tri, sub, bary, normal[:, None])[:, 0, 0])
         c0 = max(c0, np.abs(vals[1] - vals[0]).max())
         c1 = max(c1, np.abs(ders[1] - ders[0]).max())
     return c0, c1

@@ -56,6 +56,22 @@ def test_usage_errors(capsys):
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--k", "1", "--n-steps", "2", "--csv", "x.csv", "--samples", "0"],
+        ["remap-study", "--k", "1", "--n-steps", "2", "--strides", "0", "--samples", "-1"],
+        ["render", "--k", "1", "--n-steps", "2", "--resolution", "0"],
+    ],
+)
+def test_nonpositive_counts_exit_2(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --") and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_config_resolution(capsys, tmp_path):
     cfg = tmp_path / "exp.ini"
     cfg.write_text("[run]\nk = 2\nn-steps = 4\nsamples = 5000\ntest = solid_body\n")

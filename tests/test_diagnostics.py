@@ -65,6 +65,8 @@ def test_norms_vanish_on_identity(empty):
     assert l1_error(empty, phi0, phi0, empty.mesh) == 0.0
     assert tuple(map_error(empty, lambda p: np.asarray(p), 5000, 0)) == (0.0, 0.0, 0.0)
     assert density_error(empty, 5000, 0) == 0.0
+    with pytest.raises(ValueError):
+        linf_error(empty, phi0, phi0, 0, 0)
 
 
 def test_linf_insensitive_to_seed(rotation_run):

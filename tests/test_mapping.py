@@ -3,7 +3,7 @@ import pytest
 
 from cmsphere.diagnostics import sample_sphere
 from cmsphere.errors import ZeroVector
-from cmsphere.geom import rotation_matrix
+from cmsphere.geom import rotation_matrix, vertex_frames
 from cmsphere.mapping import MapChain, SphereMap, load_chain, save_chain
 from cmsphere.mesh import build_icosahedral
 from cmsphere.spline import MacroSpline
@@ -28,10 +28,11 @@ def linear_map(mesh, mat):
 def test_identity_map_is_close_but_inexact(mesh, points):
     # the components x, y, z are odd functions, so they sit outside the
     # even quadratic space; the interpolant is only O(h^3) close
-    ident = SphereMap.identity(mesh)
+    ident = linear_map(mesh, np.eye(3))
     err = np.linalg.norm(ident.eval(points) - points, axis=1)
     assert 0.0 < err.max() < 5e-4
-    assert np.abs(ident.jacobian(points) - 1.0).max() < 0.02
+    dets = MapChain(mesh=mesh, maps=[ident]).eval_with_jacobian(points)[1]
+    assert np.abs(dets - 1.0).max() < 0.02
 
 
 def test_rotation_chain_composes(mesh, points):
@@ -53,7 +54,8 @@ def test_reflection_flips_jacobian_sign(mesh, points):
     n = np.array([0.3, -0.5, 0.8])
     n /= np.linalg.norm(n)
     refl = linear_map(mesh, np.eye(3) - 2.0 * np.outer(n, n))
-    assert np.abs(refl.jacobian(points) + 1.0).max() < 0.02
+    dets = MapChain(mesh=mesh, maps=[refl]).eval_with_jacobian(points)[1]
+    assert np.abs(dets + 1.0).max() < 0.02
 
 
 def test_empty_chain_is_exact_identity(mesh, points):
@@ -78,17 +80,31 @@ def test_jet_matches_differential_composition(mesh, points):
     tang = rng.standard_normal((200, 2, 3))
     tang -= np.einsum("nqj,nj->nq", tang, p)[..., None] * p[:, None, :]
     outp, pushed = chain.jet(p, tang)
-    step = chain.maps[1].differential(p, tang[:, 0])
-    manual = chain.maps[0].differential(chain.maps[1].eval(p), step)
-    assert np.abs(pushed[:, 0] - manual).max() < 1e-13
+    mid, step = MapChain(mesh=mesh, maps=[chain.maps[1]]).jet(p, tang)
+    _, manual = MapChain(mesh=mesh, maps=[chain.maps[0]]).jet(mid, step)
+    assert np.abs(pushed - manual).max() < 1e-13
     assert np.abs(np.einsum("nqj,nj->nq", pushed, outp)).max() < 1e-12
 
 
+def test_entry_points_share_one_walk(mesh, points):
+    # points agree bit for bit across eval, eval_with_jacobian and jet, and
+    # the chained determinant is that of the frames pushed through jet
+    r1 = rotation_matrix(np.array([0.0, 1.0, 0.0]), 0.4)
+    r2 = rotation_matrix(np.array([1.0, 0.0, 0.0]), -0.9)
+    chain = MapChain(mesh=mesh, maps=[linear_map(mesh, r1), linear_map(mesh, r2)])
+    out, pushed = chain.jet(points, np.stack(vertex_frames(points), axis=1))
+    x, dets = chain.eval_with_jacobian(points)
+    assert np.array_equal(chain.eval(points), out)
+    assert np.array_equal(x, out)
+    oa, ob = vertex_frames(out)
+    m = np.einsum("nqj,nrj->nqr", pushed, np.stack([oa, ob], axis=1))
+    assert np.abs(dets - np.linalg.det(m)).max() < 1e-13
+
+
 def test_single_point_shapes(mesh):
-    ident = SphereMap.identity(mesh)
+    ident = linear_map(mesh, np.eye(3))
     p = np.array([0.0, 0.6, 0.8])
     assert ident.eval(p).shape == (3,)
-    assert isinstance(ident.jacobian(p), float)
     chain = MapChain(mesh=mesh, maps=[ident])
     assert chain.eval(p).shape == (3,)
     out, det = chain.eval_with_jacobian(p)
@@ -119,7 +135,7 @@ def test_save_load_roundtrip(tmp_path, mesh, points):
     r = rotation_matrix(np.array([0.0, 0.0, 1.0]), 1.1)
     chain = MapChain(
         mesh=mesh,
-        maps=[SphereMap.identity(mesh), linear_map(mesh, r)],
+        maps=[linear_map(mesh, np.eye(3)), linear_map(mesh, r)],
         breaks=[0.0, 0.5, 1.0],
     )
     path = tmp_path / "chain.npz"
@@ -146,3 +162,21 @@ def test_load_rejects_mismatched_mesh(tmp_path, mesh):
     save_chain(MapChain(mesh=mesh), path)
     with pytest.raises(ValueError):
         load_chain(path, mesh=build_icosahedral(2))
+
+
+@pytest.mark.parametrize(
+    "n_coeffs, breaks",
+    [
+        ((87, 19, 3), [0.0, 2.0, 1.0]),  # no submap axis
+        ((1, 80, 7, 3), [0.0, 1.0]),  # 7 coefficients per triangle
+        ((2, 81, 19, 3), [0.0, 0.5, 1.0]),  # triangle count off the mesh
+        ((2, 80, 19, 3), [0.0, 1.0]),  # one break short
+        ((2, 80, 19, 3), [0.0, 2.0, 1.0]),  # decreasing breaks
+        ((0, 80, 19, 3), []),  # empty chain without its 0.0
+    ],
+)
+def test_load_rejects_malformed_chain(tmp_path, n_coeffs, breaks):
+    path = tmp_path / "bad.npz"
+    np.savez(path, format=1, level=1, breaks=np.array(breaks), coeffs=np.zeros(n_coeffs))
+    with pytest.raises(ValueError):
+        load_chain(path)

@@ -7,11 +7,9 @@ from cmsphere.errors import RefinementTooDeep
 from cmsphere.geom import radial_project
 from cmsphere.mesh import (
     SUB_VERTS,
-    Location,
     build_icosahedral,
     edge_arc_lengths,
     h_max,
-    locate,
     locate_batch,
     save_mesh,
     triangle_areas,
@@ -137,9 +135,9 @@ def test_locate_deterministic(meshes):
 
 
 def test_locate_single_point(meshes):
-    loc = locate(meshes[1], np.array([0.0, 0.0, 1.0]))
-    assert isinstance(loc, Location)
-    assert 0 <= loc.triangle < meshes[1].n_triangles
+    tri, sub, bary = locate_batch(meshes[1], np.array([0.0, 0.0, 1.0]))
+    assert 0 <= tri < meshes[1].n_triangles
+    assert 0 <= sub < 6 and bary.shape == (3,)
 
 
 def test_locate_at_vertices(meshes):
