@@ -133,14 +133,17 @@ def _default_steps(k):
 
 
 def _evolve_to(flow, ns, t_final, mesh=None):
-    cfg = CMConfig(
-        level=ns.k,
-        n_steps=ns.n_steps if ns.n_steps is not None else _default_steps(ns.k),
-        t_final=t_final,
-        remap_stride=ns.remap_stride,
-        epsilon=ns.epsilon,
-        verbose=ns.verbose,
-    )
+    try:
+        cfg = CMConfig(
+            level=ns.k,
+            n_steps=ns.n_steps if ns.n_steps is not None else _default_steps(ns.k),
+            t_final=t_final,
+            remap_stride=ns.remap_stride,
+            epsilon=ns.epsilon,
+            verbose=ns.verbose,
+        )
+    except ValueError as e:
+        raise UsageError(str(e))
     t0 = time.time()
     chain = evolve_run(flow, cfg, mesh=mesh)
     return chain, cfg, time.time() - t0

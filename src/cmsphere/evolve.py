@@ -18,12 +18,13 @@ from .mesh import build_icosahedral
 from .stencil import build_stencils, reconstruct_hermite
 
 
-@dataclass
+@dataclass(frozen=True)
 class CMConfig:
     """Run parameters for the map evolution.
 
     remap_stride = 0 disables remapping; otherwise the chain gains a submap
-    every remap_stride steps. epsilon is the stencil half-width.
+    every remap_stride steps. epsilon is the stencil half-width. Values a
+    run cannot use raise ValueError on construction.
     """
 
     level: int
@@ -32,6 +33,16 @@ class CMConfig:
     remap_stride: int = 0
     epsilon: float = 1e-5
     verbose: bool = False
+
+    def __post_init__(self):
+        if self.n_steps < 1:
+            raise ValueError("n_steps must be at least 1")
+        if self.t_final <= 0.0:
+            raise ValueError("t_final must be positive")
+        if not 0 <= self.remap_stride <= self.n_steps:
+            raise ValueError("remap_stride must lie in [0, n_steps]")
+        if not 0.0 < self.epsilon <= 1e-3:
+            raise ValueError("epsilon must lie in (0, 1e-3]")
 
 
 def rk4_backstep(u, points, t, dt):
@@ -69,12 +80,6 @@ def run(u, config, mesh=None):
         If reconstructed map data stops being finite.
     """
     vel = getattr(u, "velocity", u)
-    if config.n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    if config.t_final <= 0.0:
-        raise ValueError("t_final must be positive")
-    if not 0 <= config.remap_stride <= config.n_steps:
-        raise ValueError("remap_stride must lie in [0, n_steps]")
     if mesh is None:
         mesh = build_icosahedral(config.level)
 

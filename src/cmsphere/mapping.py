@@ -7,8 +7,9 @@ carries the chain rule for tangent vectors and Jacobian determinants
 through the projection.
 
 Jacobian determinants are taken in the deterministic vertex frames of
-geom.vertex_frames; since g1 x g2 equals the base point everywhere, the
-per-submap determinants compose multiplicatively along a chain.
+geom.vertex_frames; since g1 x g2 equals the base point everywhere, each is
+the area form out . (pa x pb) of the pushed frames, and they compose
+multiplicatively along a chain.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import ZeroVector
 from .geom import project_differential, vertex_frames
 from .mesh import build_icosahedral, locate_batch
-from .spline import HermiteData, MacroSpline, interpolate
+from .spline import MacroSpline, build_coefficients
 
 # Map evaluations whose pre-projection norm falls below this are treated as
 # failures; a healthy map stays within a tenth of the unit sphere.
@@ -32,10 +33,6 @@ class SphereMap:
 
     def __init__(self, spline):
         self.spline = spline
-
-    @property
-    def mesh(self):
-        return self.spline.mesh
 
     @classmethod
     def from_hermite(cls, mesh, values, d1, d2):
@@ -52,26 +49,25 @@ class SphereMap:
         norms = np.linalg.norm(values, axis=1)
         if np.any(norms < 0.5) or np.any(norms > 1.5):
             raise ValueError("map vertex values stray too far from the sphere")
-        return cls(interpolate(mesh, HermiteData(values, d1, d2)))
+        return cls(MacroSpline(mesh, build_coefficients(mesh, values, d1, d2)))
 
     def eval(self, p, dirs=None):
-        """Mapped points on the sphere; with directions dirs (n, q, 3), also
-        the directions pushed through the projected map, (n, q, 3).
+        """Mapped points of unit points p (n, 3); with directions dirs
+        (n, q, 3), also the directions pushed through the projected map.
 
         Raises
         ------
         ZeroVector
             If a pre-projection value has norm below MIN_PRE_NORM.
         """
-        p = np.asarray(p, dtype=float)
-        tri, sub, bary = locate_batch(self.mesh, np.atleast_2d(p))
+        tri, sub, bary = locate_batch(self.spline.mesh, p)
         raw = self.spline.eval_located(tri, sub, bary)
         n = np.linalg.norm(raw, axis=-1, keepdims=True)
         if np.any(n < MIN_PRE_NORM):
             raise ZeroVector("map value collapsed toward the origin")
         out = raw / n
         if dirs is None:
-            return out[0] if p.ndim == 1 else out
+            return out
         w = self.spline.derivative_located(tri, sub, bary, dirs)
         return out, project_differential(raw[:, None, :], w)
 
@@ -97,7 +93,7 @@ class MapChain:
     def _walk(self, p, tangents=None, jacobian=False):
         """Push points, and tangents (n, q, 3) if given, through the submaps
         newest first. With jacobian, the tangents are each step's vertex
-        frames and the frame determinants multiply into dets."""
+        frames and their area forms multiply into dets."""
         out = np.atleast_2d(np.asarray(p, dtype=float))
         dets = np.ones(out.shape[0])
         for m in reversed(self.maps):
@@ -108,13 +104,8 @@ class MapChain:
                 continue
             out, tangents = m.eval(out, tangents)
             if jacobian:
-                oa, ob = vertex_frames(out)
-                pa, pb = tangents[:, 0], tangents[:, 1]
-                m11 = np.sum(pa * oa, axis=-1)
-                m12 = np.sum(pa * ob, axis=-1)
-                m21 = np.sum(pb * oa, axis=-1)
-                m22 = np.sum(pb * ob, axis=-1)
-                dets = dets * (m11 * m22 - m12 * m21)
+                area = np.cross(tangents[:, 0], tangents[:, 1])
+                dets = dets * np.einsum("ij,ij->i", out, area)
         return out, tangents, dets
 
     def eval(self, p):
@@ -181,5 +172,5 @@ def load_chain(path, mesh=None):
                          % (coeffs.shape, mesh.n_triangles))
     if len(breaks) != len(coeffs) + 1 or np.any(np.diff(breaks) < 0.0):
         raise ValueError("chain breaks must be %d non-decreasing times" % (len(coeffs) + 1))
-    maps = [SphereMap(MacroSpline(mesh, c, scalar=False)) for c in coeffs]
+    maps = [SphereMap(MacroSpline(mesh, c)) for c in coeffs]
     return MapChain(mesh=mesh, maps=maps, breaks=breaks)

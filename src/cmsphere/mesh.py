@@ -1,13 +1,14 @@
 """Icosahedral geodesic triangulations with six-way macro-element splits.
 
 Each macro triangle carries the geometry needed by the quadratic spline
-elements: a barycenter, a split point on every edge, and prefactored
-inverse vertex matrices for barycentric solves on the macro triangle and
-on each of its six sub-triangles. Split points are shared through a global
-edge table so neighboring triangles see bit-identical geometry.
+elements: a barycenter, a split point on every edge, prefactored inverse
+vertex matrices for barycentric solves on the macro triangle and on each
+of its six sub-triangles, and the constants that turn corner Hermite data
+into spline coefficients. Split points are shared through a global edge
+table so neighboring triangles see bit-identical geometry.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +47,11 @@ SUB_COEF = np.array(
     ]
 )
 
+# Entity indices of each corner's three first-ring targets: the split point
+# on the corner's own edge, the barycenter, the split point on the edge
+# before it. Coefficient row 3 + 3 * corner + target lies halfway toward it.
+RING_TARGETS = np.array([[3, 6, 5], [4, 6, 3], [5, 6, 4]])
+
 _BARY_TOL = 1e-12
 _GRID_SENTINEL = np.iinfo(np.int64).max
 
@@ -67,8 +73,11 @@ class SphereMesh:
     spoke_normals: np.ndarray
     rs: np.ndarray
     center_bary: np.ndarray
+    ring_cos: np.ndarray
+    ring_half_sin: np.ndarray
+    ring_g1: np.ndarray
+    ring_g2: np.ndarray
     grid_start: np.ndarray
-    spline_geom: object = field(default=None, repr=False, compare=False)
 
     @property
     def n_vertices(self):
@@ -141,17 +150,16 @@ def _refine_once(verts, tris):
     return np.vstack([verts, mids]), children
 
 
-def _adjacency(n_tris, tri_edges):
-    """Neighbor triangle across each edge slot."""
-    flat = tri_edges.ravel()
-    order = np.argsort(flat, kind="stable")
-    # Every edge of a closed surface appears in exactly two slots; after
-    # sorting by edge id the two occurrences are adjacent.
-    paired = order.reshape(-1, 2)
-    owner = paired // 3
-    adj = np.empty(n_tris * 3, dtype=np.int64)
-    adj[paired[:, 0]] = owner[:, 1]
-    adj[paired[:, 1]] = owner[:, 0]
+def _edge_slots(tri_edges):
+    """The two flat slots (3 * triangle + slot) of each edge, lower first;
+    every edge of a closed surface fills two slots, adjacent once sorted."""
+    return np.argsort(tri_edges.ravel(), kind="stable").reshape(-1, 2)
+
+
+def _adjacency(slots):
+    """Neighbor triangle across each edge slot: the owner of the other slot."""
+    adj = np.empty(slots.size, dtype=np.int64)
+    adj[slots] = slots[:, ::-1] // 3
     return adj.reshape(-1, 3)
 
 
@@ -178,13 +186,6 @@ def _edge_split_points(verts, edges, edge_tris_pair, centers):
     return radial_project(np.sign(sign)[:, None] * line)
 
 
-def _edge_triangle_pairs(tri_edges):
-    """The two triangles incident to each edge, lower slot first."""
-    flat = tri_edges.ravel()
-    order = np.argsort(flat, kind="stable")
-    return (order.reshape(-1, 2)) // 3
-
-
 def _edge_weights(splits, a, b):
     """Weights (r, s) with split = r a + s b for unit a, b on one great circle."""
     d = np.sum(a * b, axis=-1)
@@ -196,6 +197,20 @@ def _edge_weights(splits, a, b):
     r = (pa - d * pb) / den
     s = (pb - d * pa) / den
     return r, s
+
+
+def _ring_constants(entities, g1, g2):
+    """Cosine and half sine of each corner-to-target angle and the g1, g2
+    components of the unit tangent toward the target, (n_triangles, 3, 3)."""
+    base = entities[:, :3, None, :]
+    e = np.take(entities, RING_TARGETS, axis=1)
+    cosw = np.sum(base * e, axis=-1)
+    e -= cosw[..., None] * base
+    sinw = np.linalg.norm(e, axis=-1)
+    e /= sinw[..., None]
+    eg1 = np.sum(e * g1[:, :, None, :], axis=-1)
+    eg2 = np.sum(e * g2[:, :, None, :], axis=-1)
+    return cosw, 0.5 * sinw, eg1, eg2
 
 
 def _build_grid(centers, cells_theta, cells_lam):
@@ -241,11 +256,10 @@ def build_icosahedral(level):
         verts, tris = _refine_once(verts, tris)
 
     edges, tri_edges = _edge_table(verts.shape[0], tris)
-    adjacency = _adjacency(tris.shape[0], tri_edges)
+    slots = _edge_slots(tri_edges)
+    adjacency = _adjacency(slots)
     centers = radial_project(verts[tris].sum(axis=1))
-    edge_splits = _edge_split_points(
-        verts, edges, _edge_triangle_pairs(tri_edges), centers
-    )
+    edge_splits = _edge_split_points(verts, edges, slots // 3, centers)
     splits = edge_splits[tri_edges]
 
     corners = verts[tris]
@@ -267,6 +281,12 @@ def build_icosahedral(level):
     macro_inv = np.linalg.inv(macro)
 
     entities = np.concatenate([corners, splits, centers[:, None, :]], axis=1)
+    g1, g2 = vertex_frames(verts)
+    # Before the sub-triangle inverses, so their memory peaks do not add up.
+    ring_cos, ring_half_sin, ring_g1, ring_g2 = _ring_constants(
+        entities, g1[tris], g2[tris]
+    )
+
     sub_mats = entities[:, SUB_VERTS, :].transpose(0, 1, 3, 2)
     sub_dets = np.linalg.det(sub_mats)
     if np.any(np.abs(sub_dets) < 1e-12):
@@ -275,7 +295,6 @@ def build_icosahedral(level):
 
     spoke_normals = np.cross(centers[:, None, :], entities[:, SPOKES, :])
     center_bary = np.einsum("tij,tj->ti", macro_inv, centers)
-    g1, g2 = vertex_frames(verts)
 
     cells = int(min(256, max(8, 2 ** (level + 2))))
     grid = _build_grid(centers, cells, cells)
@@ -296,6 +315,10 @@ def build_icosahedral(level):
         spoke_normals=spoke_normals,
         rs=rs,
         center_bary=center_bary,
+        ring_cos=ring_cos,
+        ring_half_sin=ring_half_sin,
+        ring_g1=ring_g1,
+        ring_g2=ring_g2,
         grid_start=grid,
     )
 
@@ -338,8 +361,6 @@ def locate_batch(mesh, p):
         If a walk exceeds 4 * n_triangles steps.
     """
     p = np.asarray(p, dtype=float)
-    single = p.ndim == 1
-    p = np.atleast_2d(p)
     n = p.shape[0]
 
     cur = _grid_seed(mesh, p)
@@ -399,8 +420,6 @@ def locate_batch(mesh, p):
     score = np.minimum(d, -np.roll(d, -1, axis=1))
     sub = score.argmax(axis=1)
     bary = np.einsum("kij,kj->ki", mesh.sub_inv[cur, sub], p)
-    if single:
-        return cur[0], sub[0], bary[0]
     return cur, sub, bary
 
 

@@ -26,9 +26,8 @@ class StencilSet:
 
 
 def build_stencils(mesh, epsilon):
-    """Four projected tangent-frame corner points per mesh vertex."""
-    if not 0.0 < epsilon <= 1e-3:
-        raise ValueError("epsilon must lie in (0, 1e-3]")
+    """Four projected tangent-frame corner points per mesh vertex; epsilon
+    lies in (0, 1e-3], as CMConfig enforces."""
     frame = TangentFrame(base=mesh.vertices, g1=mesh.g1, g2=mesh.g2)
     ones = np.ones(mesh.n_vertices)
     pts = np.empty((mesh.n_vertices, 4, 3))
@@ -46,8 +45,6 @@ def reconstruct_hermite(samples, epsilon):
     Returns (values, d1, d2) with the leading-axis shape of samples minus
     the stencil axis.
     """
-    if not 0.0 < epsilon <= 1e-3:
-        raise ValueError("epsilon must lie in (0, 1e-3]")
     s = np.asarray(samples, dtype=float)
     s0, s1, s2, s3 = s[:, 0], s[:, 1], s[:, 2], s[:, 3]
     values = (s0 + s1 + s2 + s3) / 4.0

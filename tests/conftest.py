@@ -1,14 +1,29 @@
 import numpy as np
 
 from cmsphere.geom import radial_project
-from cmsphere.mesh import _edge_triangle_pairs, locate_batch
+from cmsphere.mesh import _edge_slots, locate_batch
+from cmsphere.spline import MacroSpline, build_coefficients
+
+
+def interpolate(mesh, values, d1, d2):
+    """Spline through vertex Hermite data of shape (n_vertices,) or
+    (n_vertices, m); scalar data gives a one-component spline."""
+    def cols(a):
+        return np.asarray(a, dtype=float).reshape(mesh.n_vertices, -1)
+
+    return MacroSpline(mesh, build_coefficients(mesh, cols(values), cols(d1), cols(d2)))
+
+
+def evaluate(spline, p):
+    """Values at unit points p (n, 3), shape (n, m)."""
+    return spline.eval_located(*locate_batch(spline.mesh, p))
 
 
 def derivative(spline, p, g):
-    """Directional derivatives along g (n, 3) at unit points p (n, 3)."""
+    """Directional derivatives along g (n, 3) at unit points p (n, 3),
+    shape (n, m)."""
     tri, sub, bary = locate_batch(spline.mesh, p)
-    d = spline.derivative_located(tri, sub, bary, g[:, None])[:, 0]
-    return d[:, 0] if spline.scalar else d
+    return spline.derivative_located(tri, sub, bary, g[:, None])[:, 0]
 
 
 def bernstein_value(coeffs6, bary):
@@ -41,9 +56,9 @@ def locate_in_triangle(mesh, tri, pts):
 
 def edge_jumps(spline, n_pts):
     """Largest cross-edge value and transversal-derivative disagreement of a
-    scalar spline, sampled at n_pts interior points per macro edge."""
+    one-component spline, sampled at n_pts interior points per macro edge."""
     mesh = spline.mesh
-    pair = _edge_triangle_pairs(mesh.tri_edges)
+    pair = _edge_slots(mesh.tri_edges) // 3
     a = mesh.vertices[mesh.edges[:, 0]]
     b = mesh.vertices[mesh.edges[:, 1]]
     normal = radial_project(np.cross(a, b))

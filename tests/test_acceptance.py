@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import bernstein_value, derivative, edge_jumps
+from conftest import bernstein_value, derivative, edge_jumps, evaluate, interpolate
 
 from cmsphere.diagnostics import (
     convergence_slope,
@@ -27,8 +27,10 @@ from cmsphere.evolve import CMConfig, rk4_backstep, run
 from cmsphere.fields import get_flow
 from cmsphere.mapping import MapChain
 from cmsphere.mesh import SUB_COEF, build_icosahedral, h_max, locate_batch
-from cmsphere.spline import HermiteData, MacroSpline, interpolate
+from cmsphere.spline import MacroSpline
 from cmsphere.tracers import correlated_pair, get_tracer
+
+pytestmark = pytest.mark.slow
 
 SAMPLES = 1_000_000
 SEED = 0
@@ -101,11 +103,9 @@ def hermite_interpolant(mesh):
     grad = exp_gradient(mesh.vertices)
     return interpolate(
         mesh,
-        HermiteData(
-            values=exp_field(mesh.vertices),
-            d1=np.sum(mesh.g1 * grad, axis=1),
-            d2=np.sum(mesh.g2 * grad, axis=1),
-        ),
+        exp_field(mesh.vertices),
+        np.sum(mesh.g1 * grad, axis=1),
+        np.sum(mesh.g2 * grad, axis=1),
     )
 
 
@@ -210,8 +210,8 @@ def test_criterion_02_spline_orders():
         mesh = build_icosahedral(k)
         sp = hermite_interpolant(mesh)
         hs.append(h_max(mesh))
-        val_errs.append(np.abs(sp.eval(pts) - exact_v).max())
-        der_errs.append(np.abs(derivative(sp, pts, dirs) - exact_d).max())
+        val_errs.append(np.abs(evaluate(sp, pts)[:, 0] - exact_v).max())
+        der_errs.append(np.abs(derivative(sp, pts, dirs)[:, 0] - exact_d).max())
     s_val = convergence_slope(hs, val_errs)
     s_der = convergence_slope(hs, der_errs)
     wall = time.time() - t0
@@ -382,8 +382,8 @@ def test_criterion_11_numerical_properties():
 
     mesh = build_icosahedral(2)
     rng = np.random.default_rng(17)
-    coeffs = rng.standard_normal((mesh.n_triangles, 19))
-    sp = MacroSpline(mesh, coeffs, scalar=True)
+    coeffs = rng.standard_normal((mesh.n_triangles, 19, 1))
+    sp = MacroSpline(mesh, coeffs)
     sub_pts = sample_sphere(4000, seed=8)
     tri, sub, bary = locate_batch(mesh, sub_pts)
     direct = bernstein_value(coeffs[tri[:, None], SUB_COEF[sub]], bary)

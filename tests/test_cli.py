@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -62,13 +64,18 @@ def test_usage_errors(capsys):
         ["run", "--k", "1", "--n-steps", "2", "--csv", "x.csv", "--samples", "0"],
         ["remap-study", "--k", "1", "--n-steps", "2", "--strides", "0", "--samples", "-1"],
         ["render", "--k", "1", "--n-steps", "2", "--resolution", "0"],
+        ["run", "--k", "1", "--n-steps", "0"],
+        ["run", "--k", "1", "--epsilon", "0.1"],
+        ["run", "--k", "1", "--remap-stride", "1000"],
+        ["run", "--k", "1", "--test", "moving_vortex", "--T", "-1"],
     ],
 )
 def test_nonpositive_counts_exit_2(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: --") and err.count("\n") == 1
+    # one line naming the setting: "--samples must ..." or "n_steps must ..."
+    assert re.match(r"error: (--)?\w+ must ", err) and err.count("\n") == 1
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -74,17 +75,18 @@ def test_remap_chain_structure():
 
 
 def test_config_validation():
-    flow = solid_body(0.0, 1.0)
     bad = [
-        CMConfig(level=1, n_steps=0, t_final=1.0),
-        CMConfig(level=1, n_steps=4, t_final=0.0),
-        CMConfig(level=1, n_steps=4, t_final=-1.0),
-        CMConfig(level=1, n_steps=4, t_final=1.0, remap_stride=-1),
-        CMConfig(level=1, n_steps=4, t_final=1.0, remap_stride=5),
+        dict(n_steps=0, t_final=1.0),
+        dict(n_steps=4, t_final=0.0),
+        dict(n_steps=4, t_final=-1.0),
+        dict(n_steps=4, t_final=1.0, remap_stride=-1),
+        dict(n_steps=4, t_final=1.0, remap_stride=5),
     ]
-    for cfg in bad:
+    for kwargs in bad:
         with pytest.raises(ValueError):
-            run(flow, cfg)
+            CMConfig(level=1, **kwargs)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        CMConfig(level=1, n_steps=4, t_final=1.0).n_steps = 0
 
 
 def test_reruns_are_bit_identical(points):

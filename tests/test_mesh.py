@@ -135,9 +135,9 @@ def test_locate_deterministic(meshes):
 
 
 def test_locate_single_point(meshes):
-    tri, sub, bary = locate_batch(meshes[1], np.array([0.0, 0.0, 1.0]))
-    assert 0 <= tri < meshes[1].n_triangles
-    assert 0 <= sub < 6 and bary.shape == (3,)
+    tri, sub, bary = locate_batch(meshes[1], np.array([[0.0, 0.0, 1.0]]))
+    assert tri.shape == (1,) and 0 <= tri[0] < meshes[1].n_triangles
+    assert 0 <= sub[0] < 6 and bary.shape == (1, 3)
 
 
 def test_locate_at_vertices(meshes):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from conftest import bernstein_value, derivative, edge_jumps
+from conftest import bernstein_value, derivative, edge_jumps, evaluate, interpolate
 
 from cmsphere.diagnostics import sample_sphere
 from cmsphere.mesh import SUB_COEF, build_icosahedral, locate_batch
-from cmsphere.spline import HermiteData, MacroSpline, interpolate
+from cmsphere.spline import MacroSpline
 
 
 @pytest.fixture(scope="module")
@@ -16,12 +16,7 @@ def mesh():
 def generic(mesh):
     """Spline through arbitrary Hermite data, no underlying smooth function."""
     rng = np.random.default_rng(3)
-    data = HermiteData(
-        values=rng.standard_normal(mesh.n_vertices),
-        d1=rng.standard_normal(mesh.n_vertices),
-        d2=rng.standard_normal(mesh.n_vertices),
-    )
-    return interpolate(mesh, data)
+    return interpolate(mesh, *rng.standard_normal((3, mesh.n_vertices)))
 
 
 def quadratic_setup(mesh, seed=3):
@@ -33,7 +28,7 @@ def quadratic_setup(mesh, seed=3):
     av = v @ a.T
     d1 = 2.0 * np.sum(mesh.g1 * av, axis=1)
     d2 = 2.0 * np.sum(mesh.g2 * av, axis=1)
-    return a, interpolate(mesh, HermiteData(f, d1, d2))
+    return a, interpolate(mesh, f, d1, d2)
 
 
 def test_reproduces_spherical_quadratic(mesh):
@@ -42,7 +37,7 @@ def test_reproduces_spherical_quadratic(mesh):
     a, sp = quadratic_setup(mesh)
     pts = sample_sphere(5000, seed=11)
     exact = np.einsum("ni,ij,nj->n", pts, a, pts)
-    assert np.abs(sp.eval(pts) - exact).max() < 1e-13
+    assert np.abs(evaluate(sp, pts)[:, 0] - exact).max() < 1e-13
 
 
 def test_reproduces_quadratic_derivative(mesh):
@@ -52,20 +47,16 @@ def test_reproduces_quadratic_derivative(mesh):
     g = rng.standard_normal((5000, 3))
     g -= np.sum(g * pts, axis=1, keepdims=True) * pts
     exact = 2.0 * np.einsum("ni,ij,nj->n", g, a, pts)
-    assert np.abs(derivative(sp, pts, g) - exact).max() < 1e-12
+    assert np.abs(derivative(sp, pts, g)[:, 0] - exact).max() < 1e-12
 
 
 def test_interpolates_vertex_data(mesh):
     rng = np.random.default_rng(9)
-    data = HermiteData(
-        values=rng.standard_normal(mesh.n_vertices),
-        d1=rng.standard_normal(mesh.n_vertices),
-        d2=rng.standard_normal(mesh.n_vertices),
-    )
-    sp = interpolate(mesh, data)
-    assert np.abs(sp.eval(mesh.vertices) - data.values).max() < 1e-12
-    assert np.abs(derivative(sp, mesh.vertices, mesh.g1) - data.d1).max() < 1e-10
-    assert np.abs(derivative(sp, mesh.vertices, mesh.g2) - data.d2).max() < 1e-10
+    values, d1, d2 = rng.standard_normal((3, mesh.n_vertices))
+    sp = interpolate(mesh, values, d1, d2)
+    assert np.abs(evaluate(sp, mesh.vertices)[:, 0] - values).max() < 1e-12
+    assert np.abs(derivative(sp, mesh.vertices, mesh.g1)[:, 0] - d1).max() < 1e-10
+    assert np.abs(derivative(sp, mesh.vertices, mesh.g2)[:, 0] - d2).max() < 1e-10
 
 
 def test_c0_and_c1_across_macro_edges(generic):
@@ -87,7 +78,7 @@ def test_euler_identity(mesh, generic):
 def test_de_casteljau_matches_bernstein(mesh):
     rng = np.random.default_rng(17)
     coeffs = rng.standard_normal((mesh.n_triangles, 19, 2))
-    sp = MacroSpline(mesh, coeffs, scalar=False)
+    sp = MacroSpline(mesh, coeffs)
     pts = sample_sphere(4000, seed=8)
     tri, sub, bary = locate_batch(mesh, pts)
     direct = bernstein_value(coeffs[tri[:, None], SUB_COEF[sub]], bary)
@@ -105,37 +96,22 @@ def test_derivative_matches_finite_difference(mesh, generic):
     g -= np.sum(g * pts, axis=1, keepdims=True) * pts
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     h = 1e-5
-    fd = (generic.eval(np.cos(h) * pts + np.sin(h) * g)
-          - generic.eval(np.cos(h) * pts - np.sin(h) * g)) / (2.0 * h)
+    fd = (evaluate(generic, np.cos(h) * pts + np.sin(h) * g)
+          - evaluate(generic, np.cos(h) * pts - np.sin(h) * g)) / (2.0 * h)
     assert np.abs(derivative(generic, pts, g) - fd).max() < 1e-8
 
 
 def test_scalar_and_vector_shapes(mesh):
     rng = np.random.default_rng(2)
-    scalar = interpolate(
-        mesh,
-        HermiteData(
-            values=rng.standard_normal(mesh.n_vertices),
-            d1=rng.standard_normal(mesh.n_vertices),
-            d2=rng.standard_normal(mesh.n_vertices),
-        ),
-    )
-    vector = interpolate(
-        mesh,
-        HermiteData(
-            values=rng.standard_normal((mesh.n_vertices, 3)),
-            d1=rng.standard_normal((mesh.n_vertices, 3)),
-            d2=rng.standard_normal((mesh.n_vertices, 3)),
-        ),
-    )
-    p = np.array([0.6, 0.8, 0.0])
+    scalar = interpolate(mesh, *rng.standard_normal((3, mesh.n_vertices)))
+    vector = interpolate(mesh, *rng.standard_normal((3, mesh.n_vertices, 3)))
+    assert scalar.coeffs.shape == (mesh.n_triangles, 19, 1)
+    assert vector.coeffs.shape == (mesh.n_triangles, 19, 3)
     batch = sample_sphere(7, seed=0)
-    assert np.ndim(scalar.eval(p)) == 0
-    assert scalar.eval(batch).shape == (7,)
-    assert vector.eval(p).shape == (3,)
-    assert vector.eval(batch).shape == (7, 3)
+    located = locate_batch(mesh, batch)
+    assert scalar.eval_located(*located).shape == (7, 1)
+    assert vector.eval_located(*located).shape == (7, 3)
     g = np.array([0.0, 0.0, 1.0])
     gb = g - np.sum(batch * g, axis=1, keepdims=True) * batch
-    assert derivative(scalar, batch, gb).shape == (7,)
-    located = locate_batch(mesh, batch)
+    assert derivative(scalar, batch, gb).shape == (7, 1)
     assert vector.derivative_located(*located, np.stack([gb, gb], axis=1)).shape == (7, 2, 3)

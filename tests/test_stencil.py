@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cmsphere.evolve import CMConfig
 from cmsphere.mesh import build_icosahedral
 from cmsphere.stencil import OFFSETS, build_stencils, reconstruct_hermite
 
@@ -61,12 +62,11 @@ def test_reconstruct_second_order_in_epsilon(mesh):
         assert 3.5 < coarse / fine < 4.5
 
 
-def test_epsilon_bounds(mesh):
+def test_epsilon_bounds():
+    # the stencil half-width is checked where it enters, in the run config
     for eps in (0.0, -1e-5, 2e-3):
         with pytest.raises(ValueError):
-            build_stencils(mesh, eps)
-        with pytest.raises(ValueError):
-            reconstruct_hermite(np.zeros((5, 4)), eps)
+            CMConfig(level=1, n_steps=1, t_final=1.0, epsilon=eps)
 
 
 def test_vector_samples_keep_component_axis():
