@@ -2,8 +2,9 @@
 
 Every subcommand reads an optional INI config file (one section per
 subcommand) with flag overrides; unknown sections or keys are rejected.
-Exit codes: 0 on success, 2 on usage or config errors, 3 when the
-evolution loses finiteness.
+Exit codes: 0 on success, 2 on usage or config errors, 3 on a numerical
+breakdown (non-finite map data, a map value collapsing toward the origin,
+or a point-location walk that does not end).
 """
 
 import argparse
@@ -16,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import diagnostics as diag
-from .errors import NonFiniteState
+from .errors import LocationFailure, NonFiniteState, ZeroVector
 from .evolve import CMConfig, pullback_tracer, run as evolve_run
 from .fields import FLOWS, get_flow
 from .geom import radial_project, sph_to_cart, vertex_frames
@@ -112,6 +113,9 @@ def _build_flow(test, alpha, T):
         )
     kwargs = {}
     if T is not None:
+        # The flows divide by their period, so this precedes construction.
+        if not T > 0.0:
+            raise UsageError("--T must be positive, got %g" % T)
         kwargs["T"] = T
     if alpha is not None:
         if test not in ("solid_body", "deformational"):
@@ -533,7 +537,7 @@ def main(argv=None):
     except UsageError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
-    except NonFiniteState as e:
+    except (NonFiniteState, ZeroVector, LocationFailure) as e:
         print("error: %s" % e, file=sys.stderr)
         return 3
 

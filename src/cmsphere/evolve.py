@@ -4,7 +4,9 @@ Each step integrates the vertex stencils one substep backward along the
 flow, composes with the current window's map, and reinterpolates. When a
 remap is due the window's submap is frozen onto the chain and the next
 window starts from the exact identity, so the first step of every window
-carries no interpolation error.
+carries no interpolation error. The footpoints move far less than a cell
+per step, so each step locates them starting from the previous step's
+location.
 """
 
 from dataclasses import dataclass
@@ -14,7 +16,7 @@ import numpy as np
 from .errors import NonFiniteState
 from .geom import radial_project
 from .mapping import MapChain, SphereMap
-from .mesh import build_icosahedral
+from .mesh import build_icosahedral, locate_batch
 from .stencil import build_stencils, reconstruct_hermite
 
 
@@ -90,11 +92,18 @@ def run(u, config, mesh=None):
 
     chain = MapChain(mesh=mesh, maps=[], breaks=[0.0])
     current = None
+    # Every submap shares the mesh, so the footpoints' location carries
+    # over steps and window restarts as the next step's walk start.
+    loc = None
 
     for n in range(1, config.n_steps + 1):
         t_next = n * dt
         foot = rk4_backstep(vel, probes, t_next, dt)
-        samples = foot if current is None else current.eval(foot)
+        if current is None:
+            samples = foot
+        else:
+            loc = locate_batch(mesh, foot, start=loc)
+            samples = current.eval(foot, loc=loc)
         values, d1, d2 = reconstruct_hermite(
             samples.reshape(nv, 4, 3), config.epsilon
         )

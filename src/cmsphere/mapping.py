@@ -51,16 +51,17 @@ class SphereMap:
             raise ValueError("map vertex values stray too far from the sphere")
         return cls(MacroSpline(mesh, build_coefficients(mesh, values, d1, d2)))
 
-    def eval(self, p, dirs=None):
+    def eval(self, p, dirs=None, loc=None):
         """Mapped points of unit points p (n, 3); with directions dirs
         (n, q, 3), also the directions pushed through the projected map.
+        loc is the (tri, sub, bary) location of p, located here if absent.
 
         Raises
         ------
         ZeroVector
             If a pre-projection value has norm below MIN_PRE_NORM.
         """
-        tri, sub, bary = locate_batch(self.spline.mesh, p)
+        tri, sub, bary = locate_batch(self.spline.mesh, p) if loc is None else loc
         raw = self.spline.eval_located(tri, sub, bary)
         n = np.linalg.norm(raw, axis=-1, keepdims=True)
         if np.any(n < MIN_PRE_NORM):

@@ -53,6 +53,10 @@ SUB_COEF = np.array(
 RING_TARGETS = np.array([[3, 6, 5], [4, 6, 3], [5, 6, 4]])
 
 _BARY_TOL = 1e-12
+# A warm-started point stays in its previous sub-triangle when all its
+# barycentrics there exceed this: its macro barycentrics are then at least
+# about a third of it, far above _BARY_TOL, so a cold walk ends there too.
+_KEEP_MARGIN = 1e-10
 _GRID_SENTINEL = np.iinfo(np.int64).max
 
 
@@ -78,6 +82,7 @@ class SphereMesh:
     ring_g1: np.ndarray
     ring_g2: np.ndarray
     grid_start: np.ndarray
+    vertex_tri: np.ndarray
 
     @property
     def n_vertices(self):
@@ -298,6 +303,9 @@ def build_icosahedral(level):
 
     cells = int(min(256, max(8, 2 ** (level + 2))))
     grid = _build_grid(centers, cells, cells)
+    # Lowest-index incident triangle of each vertex, where vertex ties go.
+    vertex_tri = np.full(verts.shape[0], tris.shape[0])
+    np.minimum.at(vertex_tri, tris.ravel(), np.arange(tris.size) // 3)
 
     return SphereMesh(
         level=level,
@@ -320,6 +328,7 @@ def build_icosahedral(level):
         ring_g1=ring_g1,
         ring_g2=ring_g2,
         grid_start=grid,
+        vertex_tri=vertex_tri,
     )
 
 
@@ -335,18 +344,119 @@ def _macro_bary(mesh, tri, p):
     return np.einsum("kij,kj->ki", mesh.macro_inv[tri], p)
 
 
-def locate_batch(mesh, p):
+def _sub_bary(mesh, tri, sub, p):
+    return np.einsum("kij,kj->ki", mesh.sub_inv[tri, sub], p)
+
+
+def _walk(mesh, p, cur):
+    """Walk each point from triangle cur (updated in place) to one that
+    contains it, crossing the edge with the most negative barycentric
+    coordinate. Returns the points' macro barycentrics in the final
+    triangles."""
+    bary = _macro_bary(mesh, cur, p)
+    out = bary.min(axis=1) < -_BARY_TOL
+    moving = np.flatnonzero(out)
+    bm = bary[out]
+    prev = np.full(p.shape[0], -1, dtype=np.int64)
+    max_steps = 4 * mesh.n_triangles
+    steps = 0
+    while moving.size:
+        steps += 1
+        if steps > max_steps:
+            raise LocationFailure("point location walk exceeded %d steps" % max_steps)
+        order = np.argsort(bm, axis=1)
+        first = order[:, 0]
+        nxt = mesh.adjacency[cur[moving], (first + 1) % 3]
+        # Avoid bouncing straight back; take the second-worst edge instead.
+        bounce = nxt == prev[moving]
+        if np.any(bounce):
+            second = order[:, 1]
+            use2 = bounce & (np.take_along_axis(bm, second[:, None], 1)[:, 0] < -_BARY_TOL)
+            nxt[use2] = mesh.adjacency[cur[moving][use2], (second[use2] + 1) % 3]
+        prev[moving] = cur[moving]
+        cur[moving] = nxt
+        b = _macro_bary(mesh, nxt, p[moving])
+        bary[moving] = b
+        out = b.min(axis=1) < -_BARY_TOL
+        moving = moving[out]
+        bm = b[out]
+    return bary
+
+
+def _move_if_lower(mesh, p, cur, b, rows, cand):
+    """Move points rows to triangles cand where cand is lower and contains
+    them, updating cur and the macro barycentrics b; True if any moved."""
+    better = cand < cur[rows]
+    idx = rows[better]
+    bb = _macro_bary(mesh, cand[better], p[idx])
+    ok = bb.min(axis=1) >= -_BARY_TOL
+    cur[idx[ok]] = cand[better][ok]
+    b[idx[ok]] = bb[ok]
+    return bool(np.any(ok))
+
+
+def _break_ties(mesh, p, cur, b):
+    """Deterministic ties: points within tolerance of their triangle's
+    boundary move to the lowest-index triangle that also contains them.
+
+    A point at a vertex (two vanishing coordinates) first tries the
+    vertex's lowest incident triangle, which a walk over edges need not
+    reach; a point on an edge tries the neighbor across it.
+    """
+    near = b <= _BARY_TOL
+    if not np.any(near):
+        return
+    rows = np.flatnonzero(near.sum(axis=1) >= 2)
+    corner = mesh.triangles[cur[rows], b[rows].argmax(axis=1)]
+    _move_if_lower(mesh, p, cur, b, rows, mesh.vertex_tri[corner])
+    for _ in range(8):
+        near = b <= _BARY_TOL
+        if not np.any(near):
+            break
+        rows = np.flatnonzero(near.any(axis=1))
+        adj = mesh.adjacency[cur[rows]]
+        improved = False
+        for coord in range(3):
+            # Coordinate `coord` vanishing means the point sits on the edge
+            # joining the other two vertices, edge slot (coord + 1) % 3.
+            cand = np.where(near[rows, coord], adj[:, (coord + 1) % 3], cur[rows])
+            improved |= _move_if_lower(mesh, p, cur, b, rows, cand)
+        if not improved:
+            break
+
+
+def _locate_from(mesh, p, seed):
+    """Locate points p by walking from the triangles seed, which is
+    updated in place and returned as their triangles."""
+    b = _walk(mesh, p, seed)
+    _break_ties(mesh, p, seed, b)
+    d = np.einsum("ksj,kj->ks", mesh.spoke_normals[seed], p)
+    score = np.minimum(d, -np.roll(d, -1, axis=1))
+    sub = score.argmax(axis=1)
+    return seed, sub, _sub_bary(mesh, seed, sub, p)
+
+
+def locate_batch(mesh, p, start=None):
     """Locate unit points in the triangulation.
 
-    Walks from a gridded start triangle toward each query, crossing the
-    edge with the most negative barycentric coordinate; containment allows
+    Walks from a start triangle toward each query, crossing the edge with
+    the most negative barycentric coordinate; containment allows
     coordinates down to -1e-12. Points on shared boundaries resolve to the
-    lowest containing triangle index so repeat runs agree exactly.
+    lowest containing triangle index, at vertices through each vertex's
+    lowest incident triangle, so the result does not depend on the start.
+
+    Without start, walks begin at a lat-long grid of triangles. With
+    start, the previous location of the same points, a point whose
+    barycentrics in its previous sub-triangle all exceed 1e-10 keeps it and
+    the others walk from their previous triangle; the result is exactly
+    that of a call without start.
 
     Parameters
     ----------
     mesh : SphereMesh
     p : array, shape (n, 3)
+    start : (tri, sub, bary) tuple, optional
+        A previous result of locate_batch for n points.
 
     Returns
     -------
@@ -361,66 +471,14 @@ def locate_batch(mesh, p):
         If a walk exceeds 4 * n_triangles steps.
     """
     p = np.asarray(p, dtype=float)
-    n = p.shape[0]
-
-    cur = _grid_seed(mesh, p)
-    prev = np.full(n, -1, dtype=np.int64)
-    active = np.arange(n)
-    max_steps = 4 * mesh.n_triangles
-    steps = 0
-    while active.size:
-        b = _macro_bary(mesh, cur[active], p[active])
-        inside = b.min(axis=1) >= -_BARY_TOL
-        moving = active[~inside]
-        if moving.size == 0:
-            break
-        bm = b[~inside]
-        order = np.argsort(bm, axis=1)
-        first = order[:, 0]
-        nxt = mesh.adjacency[cur[moving], (first + 1) % 3]
-        # Avoid bouncing straight back; take the second-worst edge instead.
-        bounce = nxt == prev[moving]
-        if np.any(bounce):
-            second = order[:, 1]
-            use2 = bounce & (np.take_along_axis(bm, second[:, None], 1)[:, 0] < -_BARY_TOL)
-            nxt[use2] = mesh.adjacency[cur[moving][use2], (second[use2] + 1) % 3]
-        prev[moving] = cur[moving]
-        cur[moving] = nxt
-        active = moving
-        steps += 1
-        if steps > max_steps:
-            raise LocationFailure("point location walk exceeded %d steps" % max_steps)
-
-    # Deterministic ties: points within tolerance of an edge move to the
-    # lowest-index triangle that also contains them.
-    for _ in range(8):
-        b = _macro_bary(mesh, cur, p)
-        near = b <= _BARY_TOL
-        if not np.any(near):
-            break
-        adj = mesh.adjacency[cur]
-        improved = False
-        for coord in range(3):
-            # Coordinate `coord` vanishing means the point sits on the edge
-            # joining the other two vertices, edge slot (coord + 1) % 3.
-            c = np.where(near[:, coord], adj[:, (coord + 1) % 3], cur)
-            better = c < cur
-            if not np.any(better):
-                continue
-            bb = _macro_bary(mesh, c[better], p[better])
-            ok = bb.min(axis=1) >= -_BARY_TOL
-            idx = np.where(better)[0][ok]
-            if idx.size:
-                cur[idx] = c[better][ok]
-                improved = True
-        if not improved:
-            break
-
-    d = np.einsum("ksj,kj->ks", mesh.spoke_normals[cur], p)
-    score = np.minimum(d, -np.roll(d, -1, axis=1))
-    sub = score.argmax(axis=1)
-    bary = np.einsum("kij,kj->ki", mesh.sub_inv[cur, sub], p)
-    return cur, sub, bary
+    if start is None:
+        return _locate_from(mesh, p, _grid_seed(mesh, p))
+    tri, sub = start[0].copy(), start[1].copy()
+    bary = _sub_bary(mesh, tri, sub, p)
+    moved = np.flatnonzero(bary.min(axis=1) <= _KEEP_MARGIN)
+    if moved.size:
+        tri[moved], sub[moved], bary[moved] = _locate_from(mesh, p[moved], tri[moved])
+    return tri, sub, bary
 
 
 def edge_arc_lengths(mesh):

@@ -5,7 +5,7 @@ import pytest
 
 from cmsphere import cli
 from cmsphere.diagnostics import CSV_HEADER
-from cmsphere.errors import NonFiniteState
+from cmsphere.errors import LocationFailure, NonFiniteState, ZeroVector
 from cmsphere.mapping import load_chain
 from cmsphere.tracers import cosine_bells
 
@@ -68,6 +68,11 @@ def test_usage_errors(capsys):
         ["run", "--k", "1", "--epsilon", "0.1"],
         ["run", "--k", "1", "--remap-stride", "1000"],
         ["run", "--k", "1", "--test", "moving_vortex", "--T", "-1"],
+        ["run", "--k", "1", "--test", "deformational", "--T", "0"],
+        ["run", "--k", "1", "--test", "moving_vortex", "--T", "0"],
+        ["run", "--k", "1", "--test", "solid_body", "--T", "0"],
+        ["run", "--k", "1", "--test", "solid_body", "--T", "-0.5"],
+        ["mixing", "--k", "1", "--T", "0"],
     ],
 )
 def test_nonpositive_counts_exit_2(argv, capsys, tmp_path, monkeypatch):
@@ -213,10 +218,21 @@ def test_remap_study(capsys, tmp_path):
     assert lines[2].startswith("2,1,")
 
 
-def test_nonfinite_exit_code(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "exc, word",
+    [
+        (NonFiniteState("field values left the finite range"), "finite"),
+        (ZeroVector("map value collapsed toward the origin"), "collapsed"),
+        (LocationFailure("point location walk exceeded 80 steps"), "walk"),
+    ],
+    ids=["NonFiniteState", "ZeroVector", "LocationFailure"],
+)
+def test_nonfinite_exit_code(exc, word, capsys, monkeypatch):
+    # every numerical breakdown during evolution exits 3 with one line
     def explode(*args, **kwargs):
-        raise NonFiniteState("field values left the finite range")
+        raise exc
 
     monkeypatch.setattr(cli, "evolve_run", explode)
     assert cli.main(["run", "--k", "2", "--n-steps", "2"]) == 3
-    assert "finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and word in err and err.count("\n") == 1

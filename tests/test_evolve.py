@@ -4,10 +4,11 @@ import time
 import numpy as np
 import pytest
 
+from cmsphere import evolve
 from cmsphere.diagnostics import sample_sphere
 from cmsphere.errors import NonFiniteState
 from cmsphere.evolve import CMConfig, pullback_density, pullback_tracer, rk4_backstep, run
-from cmsphere.fields import deformational, solid_body
+from cmsphere.fields import deformational, moving_vortex, solid_body
 from cmsphere.geom import rotation_matrix
 from cmsphere.mesh import build_icosahedral
 
@@ -99,6 +100,37 @@ def test_reruns_are_bit_identical(points):
     for ma, mb in zip(a.maps, b.maps):
         assert np.array_equal(ma.spline.coeffs, mb.spline.coeffs)
     assert np.array_equal(a.eval(points), b.eval(points))
+
+
+@pytest.mark.parametrize(
+    "flow, cfg",
+    [
+        (moving_vortex(1.0), CMConfig(level=2, n_steps=12, t_final=1.0, remap_stride=4)),
+        (deformational(1.05, 1.0), CMConfig(level=3, n_steps=10, t_final=1.0)),
+    ],
+    ids=["moving_vortex_k2_remap", "deformational_k3"],
+)
+def test_warm_location_is_bit_identical(flow, cfg, monkeypatch):
+    # each step locates from the previous step's footpoints, across window
+    # restarts too; forcing every location cold changes no coefficient
+    mesh = build_icosahedral(cfg.level)
+    locate = evolve.locate_batch
+    starts = []
+
+    def spy(mesh, p, start=None):
+        starts.append(start is not None)
+        return locate(mesh, p, start=start)
+
+    monkeypatch.setattr(evolve, "locate_batch", spy)
+    warm = run(flow, cfg, mesh)
+    monkeypatch.setattr(evolve, "locate_batch", lambda mesh, p, start=None: locate(mesh, p))
+    cold = run(flow, cfg, mesh)
+    # one location per step that has a map to evaluate, all but the first warm
+    windows = -(-cfg.n_steps // cfg.remap_stride) if cfg.remap_stride else 1
+    assert len(starts) == cfg.n_steps - windows and starts.count(False) == 1
+    assert warm.n_submaps == cold.n_submaps == windows
+    for a, b in zip(warm.maps, cold.maps):
+        assert np.array_equal(a.spline.coeffs, b.spline.coeffs)
 
 
 def test_nonfinite_velocity_raises():

@@ -7,6 +7,7 @@ from cmsphere.errors import RefinementTooDeep
 from cmsphere.geom import radial_project
 from cmsphere.mesh import (
     SUB_VERTS,
+    _edge_slots,
     build_icosahedral,
     edge_arc_lengths,
     h_max,
@@ -140,12 +141,68 @@ def test_locate_single_point(meshes):
     assert 0 <= sub[0] < 6 and bary.shape == (1, 3)
 
 
+def lowest_incident(mesh):
+    low = np.full(mesh.n_vertices, mesh.n_triangles)
+    np.minimum.at(low, mesh.triangles.ravel(), np.repeat(np.arange(mesh.n_triangles), 3))
+    return low
+
+
 def test_locate_at_vertices(meshes):
-    # vertices sit on triangle corners; the walk must still terminate
-    mesh = meshes[2]
-    tri, sub, bary = locate_batch(mesh, mesh.vertices)
-    assert tri.shape == (mesh.n_vertices,)
-    assert np.min(bary) > -1e-9
+    # vertices sit on triangle corners; the walk must still terminate, and
+    # the tie resolves to the lowest-index incident triangle
+    for k in (0, 2, 4):
+        mesh = meshes[k]
+        tri, sub, bary = locate_batch(mesh, mesh.vertices)
+        assert tri.shape == (mesh.n_vertices,)
+        assert np.min(bary) > -1e-9
+        assert np.array_equal(tri, lowest_incident(mesh))
+
+
+def assert_same_location(got, want):
+    for x, y in zip(got, want):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def start_in(tri):
+    """A warm start naming triangles tri and sub-triangle 0."""
+    n = len(tri)
+    return tri, np.zeros(n, dtype=np.int64), np.zeros((n, 3))
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_warm_start_matches_cold(meshes, k):
+    mesh = meshes[k]
+    pts = random_units(20000, 30 + k)
+    cold = locate_batch(mesh, pts)
+    # from their own location every point stays put
+    assert_same_location(locate_batch(mesh, pts, start=cold), cold)
+    # from the location of copies moved within a sub-triangle up to across
+    # several cells
+    rng = np.random.default_rng(40 + k)
+    for scale in (1e-9, 1e-4, 1e-2, 1e-1):
+        moved = radial_project(pts + scale * rng.standard_normal(pts.shape))
+        start = locate_batch(mesh, moved)
+        assert_same_location(locate_batch(mesh, pts, start=start), cold)
+    # from the antipodal triangle, half the sphere away
+    assert_same_location(locate_batch(mesh, pts, start=locate_batch(mesh, -pts)), cold)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_warm_start_on_boundaries(meshes, k):
+    mesh = meshes[k]
+    # edge midpoints, started from both flanking triangles
+    mids = radial_project(mesh.vertices[mesh.edges].sum(axis=1))
+    cold = locate_batch(mesh, mids)
+    flanks = _edge_slots(mesh.tri_edges) // 3
+    for side in range(2):
+        assert_same_location(locate_batch(mesh, mids, start=start_in(flanks[:, side])), cold)
+    assert np.array_equal(cold[0], flanks.min(axis=1))
+    # vertices, started from every incident triangle
+    corners = mesh.vertices[mesh.triangles.ravel()]
+    owners = np.repeat(np.arange(mesh.n_triangles), 3)
+    warm = locate_batch(mesh, corners, start=start_in(owners))
+    assert_same_location(warm, locate_batch(mesh, corners))
+    assert np.array_equal(warm[0], lowest_incident(mesh)[mesh.triangles.ravel()])
 
 
 def test_edge_arc_lengths_positive(meshes):
