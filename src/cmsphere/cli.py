@@ -2,6 +2,8 @@
 
 Every subcommand reads an optional INI config file (one section per
 subcommand) with flag overrides; unknown sections or keys are rejected.
+Each option's value, from a flag or the config file, passes through its
+spec entry's converter before any mesh is built or step taken.
 Exit codes: 0 on success, 2 on usage or config errors, 3 on a numerical
 breakdown (non-finite map data, a map value collapsing toward the origin,
 or a point-location walk that does not end).
@@ -9,6 +11,7 @@ or a point-location walk that does not end).
 
 import argparse
 import configparser
+import math
 import os
 import sys
 import time
@@ -30,9 +33,11 @@ class UsageError(Exception):
     """Bad flags or config; reported on stderr with exit code 2."""
 
 
-_COMMANDS = ("mesh", "run", "converge", "render", "mixing", "mass", "remap-study")
-
 _POLE_INSET = 1e-6
+
+
+# option converters: each maps a flag or config string to its value, or
+# raises ValueError("must ...") for a value the commands cannot use
 
 
 def _as_bool(s):
@@ -41,14 +46,66 @@ def _as_bool(s):
         return True
     if v in ("0", "false", "no", "off"):
         return False
-    raise ValueError("not a boolean: %r" % s)
+    raise ValueError("must be a boolean, got %r" % s)
 
 
-def _int_list(s):
-    try:
-        return [int(x) for x in str(s).split(",") if x.strip()]
-    except ValueError:
-        raise UsageError("expected a comma-separated integer list, got %r" % s)
+def _integer(lo=None):
+    def conv(s):
+        try:
+            v = int(s)
+        except ValueError:
+            raise ValueError("must be an integer, got %r" % s) from None
+        if lo is not None and v < lo:
+            raise ValueError("must be at least %d, got %d" % (lo, v))
+        return v
+
+    return conv
+
+
+def _real(above=None):
+    def conv(s):
+        try:
+            v = float(s)
+        except ValueError:
+            raise ValueError("must be a number, got %r" % s) from None
+        if not math.isfinite(v):
+            raise ValueError("must be finite, got %r" % s)
+        if above is not None and not v > above:
+            raise ValueError("must be greater than %g, got %g" % (above, v))
+        return v
+
+    return conv
+
+
+def _int_list(lo):
+    entry = _integer(lo)
+
+    def conv(s):
+        parts = [x for x in s.split(",") if x.strip()]
+        if not parts:
+            raise ValueError("must list at least one integer, got %r" % s)
+        return [entry(x) for x in parts]
+
+    return conv
+
+
+def _choice(names):
+    def conv(s):
+        if s not in names:
+            raise ValueError("must be one of %s, got %r" % (", ".join(sorted(names)), s))
+        return s
+
+    return conv
+
+
+def _output_path(s):
+    """A file to write, in a directory that exists and is writable."""
+    if not s or os.path.isdir(s):
+        raise ValueError("must name a file, got %r" % s)
+    d = os.path.dirname(os.path.abspath(s))
+    if not (os.path.isdir(d) and os.access(d, os.W_OK)):
+        raise ValueError("must go into an existing, writable directory, got %r" % s)
+    return s
 
 
 def _load_config(path, section, known):
@@ -69,28 +126,27 @@ def _load_config(path, section, known):
 
 
 def _merge(args, command, spec):
-    """Resolve each option: flag, then config value, then default."""
-    cfg = {}
-    if getattr(args, "config", None):
-        cfg = _load_config(args.config, command, spec)
+    """Resolve each option (flag, then config value, then default) and pass
+    every string value through the spec entry's converter."""
+    cfg = _load_config(args.config, command, spec) if args.config else {}
     out = {}
     for key, (conv, default) in spec.items():
-        v = getattr(args, key, None)
+        v = getattr(args, key)
+        where = "--" + key.replace("_", "-")
         if v is None and key in cfg:
+            v, where = cfg[key], "config [%s]: %s" % (command, key)
+        if v is None:
+            v = default
+        if isinstance(v, str):
             try:
-                v = conv(cfg[key])
+                v = conv(v)
             except ValueError as e:
-                raise UsageError("config [%s]: key %r: %s" % (command, key, e))
-        out[key] = default if v is None else v
-    for key in ("samples", "resolution"):
-        if key in out and out[key] < 1:
-            raise UsageError("--%s must be at least 1, got %d" % (key, out[key]))
+                raise UsageError("%s %s" % (where, e))
+        out[key] = v
     return SimpleNamespace(**out)
 
 
 def _check_level(k, allow_deep):
-    if k < 0:
-        raise UsageError("refinement level must be nonnegative")
     if k > 8:
         raise UsageError("refinement k=%d is out of range (max 8)" % k)
     if k > 6:
@@ -107,16 +163,7 @@ def _check_level(k, allow_deep):
 
 
 def _build_flow(test, alpha, T):
-    if test not in FLOWS:
-        raise UsageError(
-            "unknown test %r; choose from %s" % (test, ", ".join(sorted(FLOWS)))
-        )
-    kwargs = {}
-    if T is not None:
-        # The flows divide by their period, so this precedes construction.
-        if not T > 0.0:
-            raise UsageError("--T must be positive, got %g" % T)
-        kwargs["T"] = T
+    kwargs = {} if T is None else {"T": T}
     if alpha is not None:
         if test not in ("solid_body", "deformational"):
             raise UsageError("test %r has no tilt parameter" % test)
@@ -124,33 +171,45 @@ def _build_flow(test, alpha, T):
     return get_flow(test, **kwargs)
 
 
-def _pick_tracer(flow, name):
-    if name is not None and name not in TRACERS:
-        raise UsageError(
-            "unknown tracer %r; choose from %s" % (name, ", ".join(sorted(TRACERS)))
-        )
-    return diag.initial_tracer(flow, name)
-
-
-def _default_steps(k):
-    return 2**k + 10
-
-
-def _evolve_to(flow, ns, t_final, mesh=None):
+def _config(ns, t_final, k=None, remap_stride=None):
+    """The run's CMConfig; k and remap_stride override the options."""
+    k = ns.k if k is None else k
     try:
-        cfg = CMConfig(
-            level=ns.k,
-            n_steps=ns.n_steps if ns.n_steps is not None else _default_steps(ns.k),
+        return CMConfig(
+            level=k,
+            n_steps=ns.n_steps if ns.n_steps is not None else 2**k + 10,
             t_final=t_final,
-            remap_stride=ns.remap_stride,
+            remap_stride=ns.remap_stride if remap_stride is None else remap_stride,
             epsilon=ns.epsilon,
             verbose=ns.verbose,
         )
     except ValueError as e:
         raise UsageError(str(e))
+
+
+def _evolve(flow, cfg):
     t0 = time.time()
-    chain = evolve_run(flow, cfg, mesh=mesh)
-    return chain, cfg, time.time() - t0
+    chain = evolve_run(flow, cfg)
+    return chain, time.time() - t0
+
+
+def _report(flow, chain, cfg, ns, wall):
+    return diag.evaluate_run(
+        flow, chain, cfg.n_steps, tracer_name=ns.tracer, t=cfg.t_final,
+        n_samples=ns.samples, seed=ns.seed, mass_cells=ns.mass_cells,
+        wall_time_s=wall,
+    )
+
+
+# file output
+
+
+def _write_table(path, header, fmt, rows):
+    """CSV file: the header line, then one fmt % row line per row."""
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for row in rows:
+            f.write(fmt % row + "\n")
 
 
 # image output
@@ -158,52 +217,33 @@ def _evolve_to(flow, ns, t_final, mesh=None):
 
 def _viridis_lut():
     anchors = np.array(
-        [
-            [68, 1, 84],
-            [72, 40, 120],
-            [62, 74, 137],
-            [49, 104, 142],
-            [38, 130, 142],
-            [31, 158, 137],
-            [53, 183, 121],
-            [109, 205, 89],
-            [180, 222, 44],
-            [253, 231, 37],
-        ],
+        [[68, 1, 84], [72, 40, 120], [62, 74, 137], [49, 104, 142],
+         [38, 130, 142], [31, 158, 137], [53, 183, 121], [109, 205, 89],
+         [180, 222, 44], [253, 231, 37]],
         dtype=float,
     )
     x = np.linspace(0.0, 1.0, anchors.shape[0])
     xi = np.linspace(0.0, 1.0, 256)
-    lut = np.stack(
-        [np.interp(xi, x, anchors[:, c]) for c in range(3)], axis=-1
-    )
+    lut = np.stack([np.interp(xi, x, anchors[:, c]) for c in range(3)], axis=-1)
     return np.round(lut).astype(np.uint8)
 
 
 _LUT = _viridis_lut()
 
 
-def _normalize_bytes(values):
+def _write_image(path, values, gray):
+    """Binary portable graymap (gray) or viridis pixmap of a 2-D array,
+    spanning the values' range."""
     vmin = float(np.min(values))
     vmax = float(np.max(values))
-    if vmax - vmin < 1e-300:
-        return np.zeros(values.shape, dtype=np.uint8)
-    return np.round(255.0 * (values - vmin) / (vmax - vmin)).astype(np.uint8)
-
-
-def write_pgm(path, values):
-    """Grayscale portable graymap from a 2-D value array."""
-    img = _normalize_bytes(values)
+    img = np.zeros(values.shape, dtype=np.uint8)
+    if not vmax - vmin < 1e-300:
+        img = np.round(255.0 * (values - vmin) / (vmax - vmin)).astype(np.uint8)
+    magic = b"P5"
+    if not gray:
+        img, magic = _LUT[img], b"P6"
     with open(path, "wb") as f:
-        f.write(b"P5\n%d %d\n255\n" % (img.shape[1], img.shape[0]))
-        f.write(img.tobytes())
-
-
-def write_ppm(path, values):
-    """Color portable pixmap from a 2-D value array via the embedded LUT."""
-    img = _LUT[_normalize_bytes(values)]
-    with open(path, "wb") as f:
-        f.write(b"P6\n%d %d\n255\n" % (img.shape[1], img.shape[0]))
+        f.write(b"%s\n%d %d\n255\n" % (magic, img.shape[1], img.shape[0]))
         f.write(img.tobytes())
 
 
@@ -223,9 +263,7 @@ def _window_grid(center_lam, center_theta, width, res):
     g1, g2 = vertex_frames(c)
     s = np.linspace(-0.5 * width, 0.5 * width, res)
     A, B = np.meshgrid(s, -s)
-    return radial_project(
-        c + A[..., None] * g1 + B[..., None] * g2
-    )
+    return radial_project(c + A[..., None] * g1 + B[..., None] * g2)
 
 
 # subcommands
@@ -242,11 +280,8 @@ def cmd_mesh(ns):
     )
     if ns.out:
         os.makedirs(ns.out, exist_ok=True)
-        save_mesh(
-            mesh,
-            os.path.join(ns.out, "vertices.txt"),
-            os.path.join(ns.out, "triangles.txt"),
-        )
+        save_mesh(mesh, os.path.join(ns.out, "vertices.txt"),
+                  os.path.join(ns.out, "triangles.txt"))
         print("saved to %s" % ns.out)
     return 0
 
@@ -255,7 +290,11 @@ def cmd_run(ns):
     _check_level(ns.k, ns.allow_deep)
     flow = _build_flow(ns.test, ns.alpha, ns.T)
     t_final = ns.t if ns.t is not None else flow.T
-    chain, cfg, wall = _evolve_to(flow, ns, t_final)
+    if ns.csv and diag.reference_map(flow, t_final) is None:
+        raise UsageError(
+            "--csv needs an exact map at t=%g; %s has none" % (t_final, flow.name))
+    cfg = _config(ns, t_final)
+    chain, wall = _evolve(flow, cfg)
     print(
         "%s: k=%d steps=%d t=%.4f submaps=%d wall=%.2fs"
         % (flow.name, ns.k, cfg.n_steps, t_final, chain.n_submaps, wall)
@@ -264,17 +303,7 @@ def cmd_run(ns):
         save_chain(chain, ns.save_chain)
         print("chain saved to %s" % ns.save_chain)
     if ns.csv:
-        report = diag.evaluate_run(
-            flow,
-            chain,
-            cfg.n_steps,
-            tracer_name=ns.tracer,
-            t=t_final,
-            n_samples=ns.samples,
-            seed=ns.seed,
-            mass_cells=ns.mass_cells,
-            wall_time_s=wall,
-        )
+        report = _report(flow, chain, cfg, ns, wall)
         diag.write_csv(ns.csv, [report])
         print(diag.CSV_HEADER)
         print(report.csv_row())
@@ -286,23 +315,13 @@ def cmd_converge(ns):
         raise UsageError("k range is empty: %d..%d" % (ns.k_min, ns.k_max))
     _check_level(ns.k_max, ns.allow_deep)
     flow = _build_flow(ns.test, ns.alpha, ns.T)
+    cfgs = [_config(ns, flow.T, k=k) for k in range(ns.k_min, ns.k_max + 1)]
     reports = []
     hs = []
     print(diag.CSV_HEADER)
-    for k in range(ns.k_min, ns.k_max + 1):
-        local = SimpleNamespace(**vars(ns))
-        local.k = k
-        chain, cfg, wall = _evolve_to(flow, local, flow.T)
-        report = diag.evaluate_run(
-            flow,
-            chain,
-            cfg.n_steps,
-            tracer_name=ns.tracer,
-            n_samples=ns.samples,
-            seed=ns.seed,
-            mass_cells=ns.mass_cells,
-            wall_time_s=wall,
-        )
+    for cfg in cfgs:
+        chain, wall = _evolve(flow, cfg)
+        report = _report(flow, chain, cfg, ns, wall)
         reports.append(report)
         hs.append(h_max(chain.mesh))
         print(report.csv_row())
@@ -322,35 +341,26 @@ def cmd_converge(ns):
 
 def cmd_render(ns):
     _check_level(ns.k, ns.allow_deep)
+    if ns.width is not None and (ns.center_lam is None or ns.center_theta is None):
+        raise UsageError("window rendering needs --center-lam and --center-theta")
     flow = _build_flow(ns.test, ns.alpha, ns.T)
     t_final = ns.t if ns.t is not None else flow.T
-    phi0 = _pick_tracer(flow, ns.tracer)
+    phi0 = diag.initial_tracer(flow, ns.tracer)
     if t_final == 0.0:
-        mesh = build_icosahedral(ns.k)
-        chain = MapChain(mesh=mesh, maps=[], breaks=[0.0])
+        chain = MapChain(mesh=build_icosahedral(ns.k), maps=[], breaks=[0.0])
     else:
-        chain, _, _ = _evolve_to(flow, ns, t_final)
+        chain, _ = _evolve(flow, _config(ns, t_final))
     if ns.width is not None:
-        if ns.width < 1e-6:
-            raise UsageError("window width below 1e-6 is not resolvable")
-        if ns.center_lam is None or ns.center_theta is None:
-            raise UsageError("window rendering needs --center-lam and --center-theta")
         pts = _window_grid(ns.center_lam, ns.center_theta, ns.width, ns.resolution)
     else:
         pts = _equirect_grid(ns.resolution)
     shape = pts.shape[:2]
     values = pullback_tracer(chain, phi0, pts.reshape(-1, 3)).reshape(shape)
-    if ns.gray:
-        write_pgm(ns.out, values)
-    else:
-        write_ppm(ns.out, values)
+    _write_image(ns.out, values, ns.gray)
     print("wrote %s (%dx%d)" % (ns.out, shape[1], shape[0]))
     if ns.csv:
-        with open(ns.csv, "w") as f:
-            f.write("row,col,value\n")
-            for i in range(shape[0]):
-                for j in range(shape[1]):
-                    f.write("%d,%d,%.17g\n" % (i, j, values[i, j]))
+        rows = ((i, j, values[i, j]) for i, j in np.ndindex(shape))
+        _write_table(ns.csv, "row,col,value", "%d,%d,%.17g", rows)
         print("values saved to %s" % ns.csv)
     return 0
 
@@ -359,151 +369,129 @@ def cmd_mixing(ns):
     _check_level(ns.k, ns.allow_deep)
     flow = _build_flow("deformational", ns.alpha, ns.T)
     t_half = ns.t if ns.t is not None else 0.5 * flow.T
-    chain, _, _ = _evolve_to(flow, ns, t_half)
+    chain, _ = _evolve(flow, _config(ns, t_half))
     q1, q2 = correlated_pair()
     pts = _equirect_grid(ns.resolution, ns.resolution).reshape(-1, 3)
     foot = chain.eval(pts)
     a, b = q1(foot), q2(foot)
     resid = float(np.max(np.abs(b - (-0.8 * a * a + 0.9))))
-    with open(ns.out, "w") as f:
-        f.write("q1,q2\n")
-        for x, y in zip(a, b):
-            f.write("%.17g,%.17g\n" % (x, y))
+    _write_table(ns.out, "q1,q2", "%.17g,%.17g", zip(a, b))
     print("wrote %s (%d points), correlation residual %.3e" % (ns.out, a.size, resid))
     return 0
 
 
 def cmd_mass(ns):
     _check_level(ns.k, ns.allow_deep)
-    if any(n < 8 for n in ns.n_list):
-        raise UsageError("quadrature sizes must be at least 8")
     flow = _build_flow(ns.test, ns.alpha, ns.T)
-    chain, _, wall = _evolve_to(flow, ns, flow.T)
+    chain, _ = _evolve(flow, _config(ns, flow.T))
     rows = []
     for n in ns.n_list:
         err = abs(1.0 - diag.mass_integral(chain, n))
         rows.append((n, err))
         print("N=%d |1-mass|=%.6e" % (n, err))
     if ns.out:
-        with open(ns.out, "w") as f:
-            f.write("N,mass_err\n")
-            for n, err in rows:
-                f.write("%d,%.17g\n" % (n, err))
+        _write_table(ns.out, "N,mass_err", "%d,%.17g", rows)
     return 0
 
 
 def cmd_remap_study(ns):
     _check_level(ns.k, ns.allow_deep)
     flow = _build_flow("moving_vortex", None, ns.T)
-    phi0 = _pick_tracer(flow, ns.tracer)
+    phi0 = diag.initial_tracer(flow, ns.tracer)
     exact = lambda p: phi0(flow.exact_map(p, flow.T))
+    cfgs = [_config(ns, flow.T, remap_stride=s) for s in ns.strides]
+    header = "stride,remaps,linf,walltime"
     rows = []
-    print("stride,remaps,linf,walltime")
-    for stride in ns.strides:
-        local = SimpleNamespace(**vars(ns))
-        local.remap_stride = stride
-        chain, cfg, wall = _evolve_to(flow, local, flow.T)
+    print(header)
+    for cfg in cfgs:
+        chain, wall = _evolve(flow, cfg)
         err = diag.linf_error(chain, phi0, exact, ns.samples, ns.seed)
-        rows.append((stride, chain.n_submaps - 1, err, wall))
+        rows.append((cfg.remap_stride, chain.n_submaps - 1, err, wall))
         print("%d,%d,%.6e,%.2f" % rows[-1])
     if ns.csv:
-        with open(ns.csv, "w") as f:
-            f.write("stride,remaps,linf,walltime\n")
-            for r in rows:
-                f.write("%d,%d,%.17g,%.3f\n" % r)
+        _write_table(ns.csv, header, "%d,%d,%.17g,%.3f", rows)
     return 0
 
 
-# argument plumbing
+# argument plumbing: one table of {command: (handler, {option: (converter,
+# default)})}; a default that is a string passes the converter too
 
 _RUNNISH = {
-    "test": (str, "solid_body"),
-    "alpha": (float, None),
-    "T": (float, None),
-    "k": (int, 3),
-    "n_steps": (int, None),
-    "remap_stride": (int, 0),
-    "tracer": (str, None),
-    "epsilon": (float, 1e-5),
-    "seed": (int, 0),
-    "samples": (int, 1_000_000),
-    "mass_cells": (int, 64),
+    "test": (_choice(FLOWS), "solid_body"),
+    "alpha": (_real(), None),
+    "T": (_real(above=0.0), None),
+    "k": (_integer(0), 3),
+    "n_steps": (_integer(), None),
+    "remap_stride": (_integer(), 0),
+    "tracer": (_choice(TRACERS), None),
+    "epsilon": (_real(), 1e-5),
+    "seed": (_integer(0), 0),
+    "samples": (_integer(1), 1_000_000),
+    "mass_cells": (_integer(8), 64),
     "verbose": (_as_bool, False),
     "allow_deep": (_as_bool, False),
 }
 
-def _without(base, *keys):
-    d = dict(base)
-    for k in keys:
-        d.pop(k)
-    return d
+
+def _without(*keys):
+    return {k: v for k, v in _RUNNISH.items() if k not in keys}
 
 
-_SPECS = {
-    "mesh": {
-        "k": (int, 3),
+_COMMANDS = {
+    "mesh": (cmd_mesh, {
+        "k": (_integer(0), 3),
         "out": (str, None),
         "allow_deep": (_as_bool, False),
-    },
-    "run": dict(
+    }),
+    "run": (cmd_run, dict(
         _RUNNISH,
-        t=(float, None),
-        save_chain=(str, None),
-        csv=(str, None),
-    ),
-    "converge": dict(
-        _without(_RUNNISH, "k"),
-        k_min=(int, 2),
-        k_max=(int, 5),
-        csv=(str, None),
-    ),
-    "render": dict(
-        _without(_RUNNISH, "samples", "seed", "mass_cells"),
-        t=(float, None),
-        resolution=(int, 400),
-        center_lam=(float, None),
-        center_theta=(float, None),
-        width=(float, None),
-        out=(str, "render.ppm"),
-        csv=(str, None),
+        t=(_real(), None),
+        save_chain=(_output_path, None),
+        csv=(_output_path, None),
+    )),
+    "converge": (cmd_converge, dict(
+        _without("k"),
+        k_min=(_integer(0), 2),
+        k_max=(_integer(0), 5),
+        csv=(_output_path, None),
+    )),
+    "render": (cmd_render, dict(
+        _without("samples", "seed", "mass_cells"),
+        t=(_real(), None),
+        resolution=(_integer(1), 400),
+        center_lam=(_real(), None),
+        center_theta=(_real(), None),
+        width=(_real(above=1e-6), None),
+        out=(_output_path, "render.ppm"),
+        csv=(_output_path, None),
         gray=(_as_bool, False),
-    ),
-    "mixing": dict(
-        _without(_RUNNISH, "test", "tracer", "samples", "seed", "mass_cells"),
-        alpha=(float, 1.05),
-        T=(float, 5.0),
-        k=(int, 4),
-        t=(float, None),
-        resolution=(int, 200),
-        out=(str, "mixing.csv"),
-    ),
-    "mass": dict(
-        _without(_RUNNISH, "tracer", "samples", "seed", "mass_cells"),
-        test=(str, "compressible"),
-        T=(float, 5.0),
-        k=(int, 4),
-        n_list=(_int_list, [32, 64, 128]),
-        out=(str, None),
-    ),
-    "remap-study": dict(
-        _without(_RUNNISH, "test", "alpha", "mass_cells", "remap_stride"),
-        T=(float, 2.0),
-        k=(int, 4),
-        n_steps=(int, 250),
-        strides=(_int_list, [0, 25, 10]),
-        tracer=(str, "rsph"),
-        csv=(str, None),
-    ),
-}
-
-_HANDLERS = {
-    "mesh": cmd_mesh,
-    "run": cmd_run,
-    "converge": cmd_converge,
-    "render": cmd_render,
-    "mixing": cmd_mixing,
-    "mass": cmd_mass,
-    "remap-study": cmd_remap_study,
+    )),
+    "mixing": (cmd_mixing, dict(
+        _without("test", "tracer", "samples", "seed", "mass_cells"),
+        alpha=(_real(), 1.05),
+        T=(_real(above=0.0), 5.0),
+        k=(_integer(0), 4),
+        t=(_real(), None),
+        resolution=(_integer(1), 200),
+        out=(_output_path, "mixing.csv"),
+    )),
+    "mass": (cmd_mass, dict(
+        _without("tracer", "samples", "seed", "mass_cells"),
+        test=(_choice(FLOWS), "compressible"),
+        T=(_real(above=0.0), 5.0),
+        k=(_integer(0), 4),
+        n_list=(_int_list(8), [32, 64, 128]),
+        out=(_output_path, None),
+    )),
+    "remap-study": (cmd_remap_study, dict(
+        _without("test", "alpha", "mass_cells", "remap_stride"),
+        T=(_real(above=0.0), 2.0),
+        k=(_integer(0), 4),
+        n_steps=(_integer(), 250),
+        strides=(_int_list(0), [0, 25, 10]),
+        tracer=(_choice(TRACERS), "rsph"),
+        csv=(_output_path, None),
+    )),
 }
 
 
@@ -514,26 +502,27 @@ def _build_parser():
         "characteristic maps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, spec) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="INI config file")
-        for key, (conv, _) in sorted(_SPECS[name].items()):
+        for key, (conv, _) in sorted(spec.items()):
             flag = "--" + key.replace("_", "-")
             if conv is _as_bool:
                 p.add_argument(flag, action="store_true", default=None)
-            elif conv is _int_list:
-                p.add_argument(flag, type=_int_list, default=None)
             else:
-                p.add_argument(flag, type=conv, default=None)
+                p.add_argument(flag, default=None)
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    handler, spec = _COMMANDS[args.command]
     try:
-        ns = _merge(args, args.command, _SPECS[args.command])
-        return _HANDLERS[args.command](ns)
+        try:
+            diag._thread_count()
+        except ValueError as e:
+            raise UsageError(str(e))
+        return handler(_merge(args, args.command, spec))
     except UsageError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

@@ -24,11 +24,16 @@ _TINY = 1e-300
 
 
 def _thread_count():
+    """Worker count from CMM_THREADS: unset means 1; any other value must be
+    an integer of at least 1."""
+    raw = os.environ.get("CMM_THREADS", "1")
     try:
-        n = int(os.environ.get("CMM_THREADS", "1"))
+        n = int(raw)
     except ValueError:
-        n = 1
-    return max(1, n)
+        n = 0
+    if n < 1:
+        raise ValueError("CMM_THREADS must be an integer of at least 1, got %r" % raw)
+    return n
 
 
 def _chunk_points(seed, index, m):
@@ -38,10 +43,7 @@ def _chunk_points(seed, index, m):
 
 def sample_sphere(n, seed):
     """Uniform random unit points, reproducing the chunked sampling order."""
-    parts = []
-    for i in range((n + _CHUNK - 1) // _CHUNK):
-        parts.append(_chunk_points(seed, i, min(_CHUNK, n - i * _CHUNK)))
-    return np.concatenate(parts, axis=0)
+    return np.concatenate(_per_chunk(lambda pts: pts, n, seed))
 
 
 def _per_chunk(fn, n_samples, seed):

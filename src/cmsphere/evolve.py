@@ -85,8 +85,7 @@ def run(u, config, mesh=None):
     if mesh is None:
         mesh = build_icosahedral(config.level)
 
-    stencils = build_stencils(mesh, config.epsilon)
-    probes = stencils.points.reshape(-1, 3)
+    probes = build_stencils(mesh, config.epsilon).reshape(-1, 3)
     nv = mesh.n_vertices
     dt = config.t_final / config.n_steps
 

@@ -4,8 +4,6 @@ All routines work on Cartesian coordinates with arrays shaped (..., 3), so
 the same code serves single points and large batches.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ZeroVector
@@ -120,25 +118,3 @@ def vertex_frames(base):
     g2 = np.cross(base, g1)
     return g1, g2
 
-
-@dataclass(frozen=True)
-class TangentFrame:
-    """Orthonormal frame (g1, g2) of the tangent plane at a unit point."""
-
-    base: np.ndarray
-    g1: np.ndarray
-    g2: np.ndarray
-
-
-def stencil_point(frame, s1, s2):
-    """Unit point offset from the frame base by s1 g1 + s2 g2, reprojected.
-
-    Offsets are limited to 0.1 so the construction stays within the chart.
-    """
-    s1 = np.asarray(s1, dtype=float)
-    s2 = np.asarray(s2, dtype=float)
-    if np.any(np.abs(s1) > 0.1) or np.any(np.abs(s2) > 0.1):
-        raise ValueError("stencil offsets must satisfy |s| <= 0.1")
-    return radial_project(
-        frame.base + s1[..., None] * frame.g1 + s2[..., None] * frame.g2
-    )

@@ -6,34 +6,25 @@ four samples recovers the value and the two frame derivatives to second
 order in eps.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .geom import TangentFrame, stencil_point
+from .geom import radial_project
 
 # Corner offsets in frame coordinates, units of eps. Order matters: the
 # reconstruction below indexes samples by this layout.
 OFFSETS = ((-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0), (1.0, 1.0))
 
 
-@dataclass(frozen=True)
-class StencilSet:
-    """Sample points around each vertex, shape (n_vertices, 4, 3)."""
-
-    points: np.ndarray
-    epsilon: float
-
-
 def build_stencils(mesh, epsilon):
-    """Four projected tangent-frame corner points per mesh vertex; epsilon
-    lies in (0, 1e-3], as CMConfig enforces."""
-    frame = TangentFrame(base=mesh.vertices, g1=mesh.g1, g2=mesh.g2)
-    ones = np.ones(mesh.n_vertices)
-    pts = np.empty((mesh.n_vertices, 4, 3))
-    for k, (s1, s2) in enumerate(OFFSETS):
-        pts[:, k, :] = stencil_point(frame, s1 * epsilon * ones, s2 * epsilon * ones)
-    return StencilSet(points=pts, epsilon=epsilon)
+    """Four projected tangent-frame corner points per mesh vertex, shape
+    (n_vertices, 4, 3) in OFFSETS order; epsilon lies in (0, 1e-3], as
+    CMConfig enforces."""
+    off = epsilon * np.array(OFFSETS)
+    return radial_project(
+        mesh.vertices[:, None]
+        + off[:, :1] * mesh.g1[:, None]
+        + off[:, 1:] * mesh.g2[:, None]
+    )
 
 
 def reconstruct_hermite(samples, epsilon):

@@ -84,6 +84,47 @@ def test_nonpositive_counts_exit_2(argv, capsys, tmp_path, monkeypatch):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, option, env",
+    [
+        (["converge", "--k-min", "-1"], "k-min", None),
+        (["run", "--mass-cells", "4", "--csv", "x.csv"], "mass-cells", None),
+        (["run", "--tracer", "foo", "--csv", "x.csv"], "tracer", None),
+        (["converge", "--tracer", "foo"], "tracer", None),
+        (["run", "--seed", "-1", "--csv", "x.csv"], "seed", None),
+        (["run", "--save-chain", "missing/d/c.npz"], "save-chain", None),
+        (["render", "--out", "missing/r.ppm"], "out", None),
+        (["mixing", "--out", "missing/m.csv"], "out", None),
+        (["render", "--center-theta", "nan"], "center-theta", None),
+        (["mass", "--n-list", ","], "n-list", None),
+        (["remap-study", "--strides", ","], "strides", None),
+        (["run", "--alpha", "nan"], "alpha", None),
+        (["run", "--samples", "abc", "--csv", "x.csv"], "samples", None),
+        (["run", "--config", "exp.ini", "--csv", "x.csv"], "mass_cells", None),
+        (["run", "--test", "deformational", "--t", "0.3", "--csv", "x.csv"], "csv", None),
+        (["run", "--csv", "x.csv"], "CMM_THREADS", "abc"),
+    ],
+)
+def test_bad_values_exit_2_before_evolving(argv, option, env, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.ini").write_text("[run]\nmass_cells = 4\n")
+    if env is not None:
+        monkeypatch.setenv("CMM_THREADS", env)
+    calls = []
+
+    def evolve(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("evolved before rejecting a bad value")
+
+    monkeypatch.setattr(cli, "evolve_run", evolve)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert option in err
+    assert not calls
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
+
+
 def test_config_resolution(capsys, tmp_path):
     cfg = tmp_path / "exp.ini"
     cfg.write_text("[run]\nk = 2\nn-steps = 4\nsamples = 5000\ntest = solid_body\n")

@@ -4,6 +4,7 @@ import pytest
 from cmsphere.diagnostics import (
     CSV_HEADER,
     ErrorReport,
+    _thread_count,
     convergence_slope,
     density_error,
     evaluate_run,
@@ -120,7 +121,20 @@ def test_worker_pool_is_bit_identical(rotation_run, monkeypatch):
     assert linf_error(chain, phi0, exact, 150000, 0) == serial
     assert np.array_equal(map_error(chain, xref, 150000, 0), serial_map)
     monkeypatch.setenv("CMM_THREADS", "not a number")
-    assert linf_error(chain, phi0, exact, 150000, 0) == serial
+    with pytest.raises(ValueError):
+        linf_error(chain, phi0, exact, 150000, 0)
+
+
+def test_thread_count_parsing(monkeypatch):
+    # parsing only: no pool is started for any of these values
+    monkeypatch.delenv("CMM_THREADS", raising=False)
+    assert _thread_count() == 1
+    monkeypatch.setenv("CMM_THREADS", "3")
+    assert _thread_count() == 3
+    for bad in ("abc", "0", "-2", "1.5", ""):
+        monkeypatch.setenv("CMM_THREADS", bad)
+        with pytest.raises(ValueError, match="CMM_THREADS"):
+            _thread_count()
 
 
 def make_report(**overrides):

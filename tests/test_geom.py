@@ -5,7 +5,6 @@ import pytest
 
 from cmsphere.errors import ZeroVector
 from cmsphere.geom import (
-    TangentFrame,
     cart_to_sph,
     great_circle_distance,
     project_differential,
@@ -13,7 +12,6 @@ from cmsphere.geom import (
     rotate_about_axis,
     rotation_matrix,
     sph_to_cart,
-    stencil_point,
     vertex_frames,
 )
 
@@ -112,20 +110,3 @@ def test_vertex_frames_pole_branch():
     assert np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))
     assert np.max(np.linalg.norm(np.cross(g1, g2) - poles, axis=1)) < 1e-14
 
-
-def test_stencil_point_arc_distance():
-    # projected corner offsets sit sqrt(2) eps away, up to O(eps^2)
-    eps = 1e-5
-    base = random_units(300, 7)
-    frame = TangentFrame(base=base, g1=vertex_frames(base)[0], g2=vertex_frames(base)[1])
-    ones = np.ones(base.shape[0])
-    p = stencil_point(frame, eps * ones, -eps * ones)
-    d = great_circle_distance(base, p)
-    assert np.max(np.abs(d - np.sqrt(2.0) * eps)) < np.sqrt(2.0) * eps * 1e-8
-
-
-def test_stencil_point_offset_cap():
-    base = np.array([0.0, 1.0, 0.0])
-    frame = TangentFrame(base, *vertex_frames(base))
-    with pytest.raises(ValueError):
-        stencil_point(frame, np.array(0.2), np.array(0.0))

@@ -13,14 +13,14 @@ def mesh():
 
 def test_points_on_sphere(mesh):
     st = build_stencils(mesh, 1e-5)
-    assert st.points.shape == (mesh.n_vertices, 4, 3)
-    assert np.abs(np.linalg.norm(st.points, axis=-1) - 1.0).max() < 1e-13
+    assert st.shape == (mesh.n_vertices, 4, 3)
+    assert np.abs(np.linalg.norm(st, axis=-1) - 1.0).max() < 1e-13
 
 
 def test_points_at_diagonal_arc_distance(mesh):
     eps = 1e-5
     st = build_stencils(mesh, eps)
-    cosa = np.einsum("vkj,vj->vk", st.points, mesh.vertices)
+    cosa = np.einsum("vkj,vj->vk", st, mesh.vertices)
     arc = np.arccos(np.clip(cosa, -1.0, 1.0))
     assert np.abs(arc / (np.sqrt(2.0) * eps) - 1.0).max() < 1e-5
 
@@ -50,7 +50,7 @@ def test_reconstruct_second_order_in_epsilon(mesh):
 
     errs = []
     for eps in (1e-3, 5e-4):
-        values, d1, d2 = reconstruct_hermite(f(build_stencils(mesh, eps).points), eps)
+        values, d1, d2 = reconstruct_hermite(f(build_stencils(mesh, eps)), eps)
         errs.append(
             (
                 np.abs(values - f(mesh.vertices)).max(),
