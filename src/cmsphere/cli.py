@@ -347,7 +347,7 @@ def cmd_render(ns):
     t_final = ns.t if ns.t is not None else flow.T
     phi0 = diag.initial_tracer(flow, ns.tracer)
     if t_final == 0.0:
-        chain = MapChain(mesh=build_icosahedral(ns.k), maps=[], breaks=[0.0])
+        chain = MapChain(mesh=None)
     else:
         chain, _ = _evolve(flow, _config(ns, t_final))
     if ns.width is not None:

@@ -80,7 +80,7 @@ class MapChain:
     maps[0] covers the earliest window; evaluation composes newest first,
     so the full map is maps[0] o maps[1] o ... o maps[-1]. breaks holds the
     window boundary times, len(maps) + 1 entries. An empty chain is the
-    identity.
+    identity and needs no mesh.
     """
 
     mesh: object
@@ -95,7 +95,7 @@ class MapChain:
         """Push points, and tangents (n, q, 3) if given, through the submaps
         newest first. With jacobian, the tangents are each step's vertex
         frames and their area forms multiply into dets."""
-        out = np.atleast_2d(np.asarray(p, dtype=float))
+        out = np.asarray(p, dtype=float)
         dets = np.ones(out.shape[0])
         for m in reversed(self.maps):
             if jacobian:
@@ -110,15 +110,13 @@ class MapChain:
         return out, tangents, dets
 
     def eval(self, p):
-        """Footpoints of unit points p, shape (n, 3) or (3,)."""
-        out = self._walk(p)[0]
-        return out[0] if np.ndim(p) == 1 else out
+        """Footpoints (n, 3) of unit points p (n, 3)."""
+        return self._walk(p)[0]
 
     def eval_with_jacobian(self, p):
-        """Mapped points and the chained Jacobian determinant."""
+        """Mapped points (n, 3) of unit points p (n, 3) and the chained
+        Jacobian determinants (n,)."""
         out, _, dets = self._walk(p, jacobian=True)
-        if np.ndim(p) == 1:
-            return out[0], float(dets[0])
         return out, dets
 
     def jet(self, p, tangents):

@@ -56,6 +56,9 @@ _BARY_TOL = 1e-12
 # A warm-started point stays in its previous sub-triangle when all its
 # barycentrics there exceed this: its macro barycentrics are then at least
 # about a third of it, far above _BARY_TOL, so a cold walk ends there too.
+# It is also the tie band: a point whose macro barycentrics all exceed it
+# lies in no other triangle within _BARY_TOL, even though spherical
+# barycentrics scale differently from one triangle to the next.
 _KEEP_MARGIN = 1e-10
 _GRID_SENTINEL = np.iinfo(np.int64).max
 
@@ -82,7 +85,7 @@ class SphereMesh:
     ring_g1: np.ndarray
     ring_g2: np.ndarray
     grid_start: np.ndarray
-    vertex_tri: np.ndarray
+    vertex_tris: np.ndarray
 
     @property
     def n_vertices(self):
@@ -303,9 +306,13 @@ def build_icosahedral(level):
 
     cells = int(min(256, max(8, 2 ** (level + 2))))
     grid = _build_grid(centers, cells, cells)
-    # Lowest-index incident triangle of each vertex, where vertex ties go.
-    vertex_tri = np.full(verts.shape[0], tris.shape[0])
-    np.minimum.at(vertex_tri, tris.ravel(), np.arange(tris.size) // 3)
+    # Incident triangles of each vertex in ascending order, the lowest one
+    # repeated where a vertex has only five.
+    order = np.argsort(tris.ravel(), kind="stable")
+    ids = np.arange(verts.shape[0])
+    lo, hi = (np.searchsorted(tris.ravel()[order], ids, side) for side in ("left", "right"))
+    fan = lo[:, None] + np.arange(6)
+    vertex_tris = order[np.where(fan < hi[:, None], fan, lo[:, None])] // 3
 
     return SphereMesh(
         level=level,
@@ -328,7 +335,7 @@ def build_icosahedral(level):
         ring_g1=ring_g1,
         ring_g2=ring_g2,
         grid_start=grid,
-        vertex_tri=vertex_tri,
+        vertex_tris=vertex_tris,
     )
 
 
@@ -383,53 +390,29 @@ def _walk(mesh, p, cur):
     return bary
 
 
-def _move_if_lower(mesh, p, cur, b, rows, cand):
-    """Move points rows to triangles cand where cand is lower and contains
-    them, updating cur and the macro barycentrics b; True if any moved."""
-    better = cand < cur[rows]
-    idx = rows[better]
-    bb = _macro_bary(mesh, cand[better], p[idx])
-    ok = bb.min(axis=1) >= -_BARY_TOL
-    cur[idx[ok]] = cand[better][ok]
-    b[idx[ok]] = bb[ok]
-    return bool(np.any(ok))
+def _lowest_containing(mesh, p, cur, b):
+    """Move points near their triangle's boundary to the lowest-index
+    triangle that contains them, updating cur in place.
 
-
-def _break_ties(mesh, p, cur, b):
-    """Deterministic ties: points within tolerance of their triangle's
-    boundary move to the lowest-index triangle that also contains them.
-
-    A point at a vertex (two vanishing coordinates) first tries the
-    vertex's lowest incident triangle, which a walk over edges need not
-    reach; a point on an edge tries the neighbor across it.
+    b holds the points' macro barycentrics in cur. Every triangle that
+    contains a point within _BARY_TOL touches the edge or vertex it is near,
+    so it is incident to the corner of cur with the largest barycentric;
+    cur is among those candidates and always counts as containing.
     """
-    near = b <= _BARY_TOL
-    if not np.any(near):
-        return
-    rows = np.flatnonzero(near.sum(axis=1) >= 2)
-    corner = mesh.triangles[cur[rows], b[rows].argmax(axis=1)]
-    _move_if_lower(mesh, p, cur, b, rows, mesh.vertex_tri[corner])
-    for _ in range(8):
-        near = b <= _BARY_TOL
-        if not np.any(near):
-            break
-        rows = np.flatnonzero(near.any(axis=1))
-        adj = mesh.adjacency[cur[rows]]
-        improved = False
-        for coord in range(3):
-            # Coordinate `coord` vanishing means the point sits on the edge
-            # joining the other two vertices, edge slot (coord + 1) % 3.
-            cand = np.where(near[rows, coord], adj[:, (coord + 1) % 3], cur[rows])
-            improved |= _move_if_lower(mesh, p, cur, b, rows, cand)
-        if not improved:
-            break
+    rows = np.flatnonzero(b.min(axis=1) <= _KEEP_MARGIN)
+    cand = mesh.vertex_tris[mesh.triangles[cur[rows], b[rows].argmax(axis=1)]]
+    inside = cand == cur[rows, None]
+    q = p[rows]
+    # One candidate column at a time keeps the gathered inverses at (r, 3, 3).
+    for c in range(6):
+        inside[:, c] |= _macro_bary(mesh, cand[:, c], q).min(axis=1) >= -_BARY_TOL
+    cur[rows] = cand[np.arange(rows.size), inside.argmax(axis=1)]
 
 
 def _locate_from(mesh, p, seed):
     """Locate points p by walking from the triangles seed, which is
     updated in place and returned as their triangles."""
-    b = _walk(mesh, p, seed)
-    _break_ties(mesh, p, seed, b)
+    _lowest_containing(mesh, p, seed, _walk(mesh, p, seed))
     d = np.einsum("ksj,kj->ks", mesh.spoke_normals[seed], p)
     score = np.minimum(d, -np.roll(d, -1, axis=1))
     sub = score.argmax(axis=1)
@@ -441,9 +424,9 @@ def locate_batch(mesh, p, start=None):
 
     Walks from a start triangle toward each query, crossing the edge with
     the most negative barycentric coordinate; containment allows
-    coordinates down to -1e-12. Points on shared boundaries resolve to the
-    lowest containing triangle index, at vertices through each vertex's
-    lowest incident triangle, so the result does not depend on the start.
+    coordinates down to -1e-12. The result is the lowest-index triangle
+    that contains the point within 1e-12, chosen among the incident
+    triangles of its nearest corner, so it does not depend on the start.
 
     Without start, walks begin at a lat-long grid of triangles. With
     start, the previous location of the same points, a point whose

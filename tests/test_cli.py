@@ -211,6 +211,21 @@ def test_render_window_ppm(tmp_path):
     assert len(raw) == len(b"P6\n8 8\n255\n") + 3 * 8 * 8
 
 
+def test_render_at_t0_builds_no_mesh(tmp_path, monkeypatch):
+    # the identity chain never reads a mesh, so the level does not matter
+    coarse = tmp_path / "k1.ppm"
+    argv = ["render", "--t", "0", "--resolution", "4", "--out"]
+    assert cli.main(argv + [str(coarse), "--k", "1"]) == 0
+
+    def refuse(level):
+        raise AssertionError("render --t 0 built a mesh")
+
+    monkeypatch.setattr(cli, "build_icosahedral", refuse)
+    fine = tmp_path / "k6.ppm"
+    assert cli.main(argv + [str(fine), "--k", "6"]) == 0
+    assert fine.read_bytes() == coarse.read_bytes()
+
+
 def test_mixing_reports_zero_residual(capsys, tmp_path):
     out = tmp_path / "mix.csv"
     code = cli.main(

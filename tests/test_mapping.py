@@ -101,16 +101,6 @@ def test_entry_points_share_one_walk(mesh, points):
     assert np.abs(dets - np.linalg.det(m)).max() < 1e-13
 
 
-def test_single_point_shapes(mesh):
-    ident = linear_map(mesh, np.eye(3))
-    p = np.array([0.0, 0.6, 0.8])
-    chain = MapChain(mesh=mesh, maps=[ident])
-    assert chain.eval(p).shape == (3,)
-    out, det = chain.eval_with_jacobian(p)
-    assert out.shape == (3,)
-    assert isinstance(det, float)
-
-
 def test_from_hermite_rejects_stray_values(mesh):
     for scale in (0.4, 1.7):
         with pytest.raises(ValueError):

@@ -205,6 +205,34 @@ def test_warm_start_on_boundaries(meshes, k):
     assert np.array_equal(warm[0], lowest_incident(mesh)[mesh.triangles.ravel()])
 
 
+def lowest_containing_oracle(mesh, p):
+    """First triangle, by index, whose macro barycentrics are all >= -1e-12."""
+    tri = np.empty(len(p), dtype=np.int64)
+    for c in range(0, len(p), 2000):
+        b = np.einsum("tij,kj->kti", mesh.macro_inv, p[c : c + 2000])
+        tri[c : c + 2000] = (b.min(axis=2) >= -1e-12).argmax(axis=1)
+    return tri
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_locate_near_boundaries_is_lowest_containing(meshes, k):
+    # points a hair off every vertex and every edge midpoint, where a walk
+    # that stops at the first containing triangle depends on its start
+    mesh = meshes[k]
+    rng = np.random.default_rng(50 + k)
+    mids = radial_project(mesh.vertices[mesh.edges].sum(axis=1))
+    base = np.concatenate([mesh.vertices, mids])
+    pts = np.concatenate(
+        [
+            radial_project(base + scale * rng.standard_normal(base.shape))
+            for scale in (1e-14, 1e-13, 1e-12, 3e-12, 1e-11)
+        ]
+    )
+    cold = locate_batch(mesh, pts)
+    assert np.array_equal(cold[0], lowest_containing_oracle(mesh, pts))
+    assert_same_location(locate_batch(mesh, pts, start=locate_batch(mesh, -pts)), cold)
+
+
 def test_edge_arc_lengths_positive(meshes):
     lens = edge_arc_lengths(meshes[2])
     assert np.all(lens > 0.0)
