@@ -25,7 +25,7 @@ from .evolve import CMConfig, pullback_tracer, run as evolve_run
 from .fields import FLOWS, get_flow
 from .geom import radial_project, sph_to_cart, vertex_frames
 from .mapping import MapChain, save_chain
-from .mesh import build_icosahedral, h_max, save_mesh
+from .mesh import MAX_LEVEL, build_icosahedral, h_max, save_mesh
 from .tracers import TRACERS, correlated_pair
 
 
@@ -108,6 +108,19 @@ def _output_path(s):
     return s
 
 
+def _output_dir(s):
+    """A directory to write into: an existing one, or a new one below a writable one."""
+    if not s:
+        raise ValueError("must name a directory, got %r" % s)
+    base = os.path.abspath(s)
+    while not os.path.exists(base):
+        base = os.path.dirname(base)
+    if not (os.path.isdir(base) and os.access(base, os.W_OK)):
+        raise ValueError("must be a directory, or a new one under a writable "
+                         "directory, got %r" % s)
+    return s
+
+
 def _load_config(path, section, known):
     cp = configparser.ConfigParser()
     if not cp.read(path):
@@ -147,8 +160,8 @@ def _merge(args, command, spec):
 
 
 def _check_level(k, allow_deep):
-    if k > 8:
-        raise UsageError("refinement k=%d is out of range (max 8)" % k)
+    if k > MAX_LEVEL:
+        raise UsageError("refinement k=%d is out of range (max %d)" % (k, MAX_LEVEL))
     if k > 6:
         if not allow_deep:
             raise UsageError(
@@ -398,7 +411,7 @@ def cmd_remap_study(ns):
     _check_level(ns.k, ns.allow_deep)
     flow = _build_flow("moving_vortex", None, ns.T)
     phi0 = diag.initial_tracer(flow, ns.tracer)
-    exact = lambda p: phi0(flow.exact_map(p, flow.T))
+    exact = diag.reference_solution(flow, phi0, flow.T)
     cfgs = [_config(ns, flow.T, remap_stride=s) for s in ns.strides]
     header = "stride,remaps,linf,walltime"
     rows = []
@@ -440,7 +453,7 @@ def _without(*keys):
 _COMMANDS = {
     "mesh": (cmd_mesh, {
         "k": (_integer(0), 3),
-        "out": (str, None),
+        "out": (_output_dir, None),
         "allow_deep": (_as_bool, False),
     }),
     "run": (cmd_run, dict(

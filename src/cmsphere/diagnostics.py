@@ -232,24 +232,8 @@ def write_csv(path, reports):
 
 
 def initial_tracer(flow, name=None):
-    """The tracer a run starts from: an explicit choice, the flow's default,
-    or the flow's own closed-form solution at time zero."""
-    if name is not None:
-        return get_tracer(name)
-    if flow.default_tracer is not None:
-        return get_tracer(flow.default_tracer)
-    return lambda p: flow.exact_solution(p, 0.0)
-
-
-def reference_solution(flow, phi0, t, own_ic):
-    """Exact tracer field at time t, or None when the flow offers none."""
-    if own_ic and flow.exact_solution is not None:
-        return lambda p: flow.exact_solution(p, t)
-    if flow.exact_map is not None:
-        return lambda p: phi0(flow.exact_map(p, t))
-    if flow.reversing and t == flow.T:
-        return phi0
-    return None
+    """The tracer a run starts from: the named one, or the flow's own."""
+    return flow.initial if name is None else get_tracer(name)
 
 
 def reference_map(flow, t):
@@ -261,21 +245,29 @@ def reference_map(flow, t):
     return None
 
 
+def reference_solution(flow, phi0, t):
+    """Exact tracer field at time t: phi0 along the exact backward map, or
+    None when the flow has no exact map at t."""
+    xref = reference_map(flow, t)
+    if xref is None:
+        return None
+    return lambda p: phi0(xref(p))
+
+
 def evaluate_run(flow, chain, n_steps, tracer_name=None, t=None,
                  n_samples=1_000_000, seed=0, mass_cells=64, wall_time_s=0.0):
     """Assemble the full error report for a finished run.
 
-    t defaults to the flow period. The flow must provide a reference
-    (exact solution, exact map, or retracing at T) at that time.
+    t defaults to the flow period. The flow must provide an exact backward
+    map (closed form, or retracing at T) at that time.
     """
     if t is None:
         t = flow.T
-    own_ic = tracer_name is None and flow.default_tracer is None
-    phi0 = initial_tracer(flow, tracer_name)
-    exact = reference_solution(flow, phi0, t, own_ic)
     xref = reference_map(flow, t)
-    if exact is None or xref is None:
+    if xref is None:
         raise ValueError("flow %r has no exact reference at t=%g" % (flow.name, t))
+    phi0 = initial_tracer(flow, tracer_name)
+    exact = reference_solution(flow, phi0, t)
     mass = mass_integral(chain, mass_cells)
     return ErrorReport(
         test=flow.name,

@@ -70,7 +70,8 @@ def run(u, config, mesh=None):
         attribute works too.
     config : CMConfig
     mesh : SphereMesh, optional
-        Reused if given, built from config.level otherwise.
+        Reused if given, built from config.level otherwise. Its level must
+        equal config.level.
 
     Returns
     -------
@@ -78,12 +79,16 @@ def run(u, config, mesh=None):
 
     Raises
     ------
+    ValueError
+        If mesh is given at a level other than config.level.
     NonFiniteState
         If reconstructed map data stops being finite.
     """
     vel = getattr(u, "velocity", u)
     if mesh is None:
         mesh = build_icosahedral(config.level)
+    elif mesh.level != config.level:
+        raise ValueError("config is at refinement %d, mesh is %d" % (config.level, mesh.level))
 
     probes = build_stencils(mesh, config.epsilon).reshape(-1, 3)
     nv = mesh.n_vertices

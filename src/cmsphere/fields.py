@@ -1,16 +1,18 @@
 """Velocity fields for the standard transport tests, with exact references.
 
 Each flow bundles its velocity with whatever exact information it admits: a
-closed-form backward map, a closed-form solution, or just the fact that the
-field retraces itself so the final map is the identity. Fields built in a
-rotating frame share the RotatingFrame helper.
+closed-form backward map, or just the fact that the field retraces itself so
+the final map is the identity. The exact tracer is the initial tracer along
+that map. Fields built in a rotating frame share the RotatingFrame helper.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .geom import cart_to_sph, rotation_matrix, rotate_about_axis, sph_to_cart
+from .tracers import cosine_bells
 
 _Z = np.array([0.0, 0.0, 1.0])
 
@@ -20,11 +22,9 @@ class Flow:
     """A velocity field u(points, t) plus its reference data.
 
     exact_map, when set, sends (points, t) to the time-zero footpoints.
-    exact_solution, when set, gives the transported scalar at (points, t);
-    its t = 0 restriction doubles as the initial condition. reversing means
-    the field retraces itself over [0, T], so the map at T is the identity.
-    default_tracer names the tracer used when the caller picks none; None
-    means the flow carries its own initial condition via exact_solution.
+    reversing means the field retraces itself over [0, T], so the map at T
+    is the identity. initial is the tracer a run starts from when the caller
+    names none.
     """
 
     name: str
@@ -33,8 +33,7 @@ class Flow:
     divergence_free: bool
     reversing: bool = False
     exact_map: object = None
-    exact_solution: object = None
-    default_tracer: str = "cosine_bells"
+    initial: object = field(default_factory=cosine_bells)
 
 
 @dataclass(frozen=True)
@@ -136,25 +135,21 @@ def _vortex_prime(q, T):
     return w[..., None] * out
 
 
-def _vortex_solution(q, t, T):
-    """Closed-form tracer in the vortex frame, rows of q primed."""
-    lam, theta = cart_to_sph(q)
+def _vortex_initial(p, frame0):
+    """Vortex tracer at t = 0; p @ frame0 gives the rows of p primed."""
+    lam, theta = cart_to_sph(np.asarray(p, dtype=float) @ frame0)
     rho = 3.0 * np.sin(theta)
-    w = vortex_rate(rho, T)
-    return 1.0 - np.tanh(0.2 * rho * np.sin(lam - w * t))
+    return 1.0 - np.tanh(0.2 * rho * np.sin(lam))
 
 
 def static_vortex(T=1.0):
-    """Twin vortices fixed on the equator, with a closed-form solution."""
+    """Twin vortices fixed on the equator; runs start from the vortex field."""
     rot = _rx(-0.5 * np.pi)
 
     def velocity(p, t):
         p = np.asarray(p, dtype=float)
         q = p @ rot
         return _vortex_prime(q, T) @ rot.T
-
-    def exact_solution(p, t):
-        return _vortex_solution(np.asarray(p, dtype=float) @ rot, t, T)
 
     def exact_map(p, t):
         q = np.asarray(p, dtype=float) @ rot
@@ -168,13 +163,12 @@ def static_vortex(T=1.0):
         velocity=velocity,
         divergence_free=True,
         exact_map=exact_map,
-        exact_solution=exact_solution,
-        default_tracer=None,
+        initial=partial(_vortex_initial, frame0=rot),
     )
 
 
 def moving_vortex(T=1.0):
-    """Twin vortices swept along by a rigid rotation about the z axis."""
+    """Twin vortices swept along by a rigid z rotation; runs start from the vortex field."""
     rate = 2.0 * np.pi / T
     omega = rate * _Z
     frame = RotatingFrame(pre=np.eye(3), rate=rate, post=_rx(-0.5 * np.pi))
@@ -184,10 +178,6 @@ def moving_vortex(T=1.0):
         m = frame.matrix(t)
         q = p @ m
         return np.cross(omega, p) + _vortex_prime(q, T) @ m.T
-
-    def exact_solution(p, t):
-        q = np.asarray(p, dtype=float) @ frame.matrix(t)
-        return _vortex_solution(q, t, T)
 
     def exact_map(p, t):
         q = np.asarray(p, dtype=float) @ frame.matrix(t)
@@ -201,8 +191,7 @@ def moving_vortex(T=1.0):
         velocity=velocity,
         divergence_free=True,
         exact_map=exact_map,
-        exact_solution=exact_solution,
-        default_tracer=None,
+        initial=partial(_vortex_initial, frame0=frame.matrix(0.0)),
     )
 
 

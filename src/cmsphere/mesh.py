@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DegenerateTriangle, LocationFailure, RefinementTooDeep
 from .geom import cart_to_sph, great_circle_distance, radial_project, vertex_frames
 
-MAX_LEVEL = 10
+MAX_LEVEL = 8
 
 # Six sub-triangles of a macro element, as indices into the entity list
 # [corner0, corner1, corner2, split01, split12, split20, center].

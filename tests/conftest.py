@@ -1,8 +1,25 @@
 import numpy as np
 
-from cmsphere.geom import radial_project
+from cmsphere.fields import RotatingFrame, vortex_rate
+from cmsphere.geom import cart_to_sph, radial_project, rotation_matrix
 from cmsphere.mesh import _edge_slots, locate_batch
 from cmsphere.spline import MacroSpline, build_coefficients
+
+
+def vortex_solution(flow, p, t):
+    """Closed-form tracer of static_vortex or moving_vortex at (p, t).
+
+    From "Moving vortices on the sphere: a test case for horizontal
+    advection problems" (Nair and Jablonowski, 2008): in the vortex frame,
+    which turns about z at the rigid rate for moving_vortex, the tracer is
+    1 - tanh(rho / 5 sin(lam' - w(rho) t)) with rho = 3 sin(theta').
+    """
+    rate = 2.0 * np.pi / flow.T if flow.name == "moving_vortex" else 0.0
+    post = rotation_matrix(np.array([1.0, 0.0, 0.0]), -0.5 * np.pi)
+    frame = RotatingFrame(pre=np.eye(3), rate=rate, post=post)
+    lam, theta = cart_to_sph(np.asarray(p, dtype=float) @ frame.matrix(t))
+    rho = 3.0 * np.sin(theta)
+    return 1.0 - np.tanh(0.2 * rho * np.sin(lam - vortex_rate(rho, flow.T) * t))
 
 
 def interpolate(mesh, values, d1, d2):

@@ -116,8 +116,7 @@ def transport_suite():
     for label, name, params, T, levels, fit_from, extras in SUITE:
         flow = get_flow(name, T=T, **params)
         phi0 = initial_tracer(flow)
-        own_ic = flow.default_tracer is None
-        exact = reference_solution(flow, phi0, flow.T, own_ic)
+        exact = reference_solution(flow, phi0, flow.T)
         rows = []
         for k in levels:
             cfg = CMConfig(level=k, n_steps=standard_steps(k), t_final=flow.T)

@@ -125,6 +125,21 @@ def test_bad_values_exit_2_before_evolving(argv, option, env, capsys, tmp_path, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
 
 
+@pytest.mark.parametrize("out", ["taken", "taken/sub", ""])
+def test_bad_mesh_out_exits_2_before_building(out, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("a regular file\n")
+
+    def build(*args):
+        raise AssertionError("built a mesh before rejecting --out")
+
+    monkeypatch.setattr(cli, "build_icosahedral", build)
+    assert cli.main(["mesh", "--k", "1", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out must ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
 def test_config_resolution(capsys, tmp_path):
     cfg = tmp_path / "exp.ini"
     cfg.write_text("[run]\nk = 2\nn-steps = 4\nsamples = 5000\ntest = solid_body\n")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import vortex_solution
 
 from cmsphere.diagnostics import (
     CSV_HEADER,
@@ -19,7 +20,7 @@ from cmsphere.diagnostics import (
     write_csv,
 )
 from cmsphere.evolve import CMConfig, run
-from cmsphere.fields import get_flow
+from cmsphere.fields import FLOWS, get_flow
 from cmsphere.mapping import MapChain
 from cmsphere.mesh import build_icosahedral, triangle_areas
 from cmsphere.tracers import get_tracer
@@ -73,7 +74,7 @@ def test_norms_vanish_on_identity(empty):
 def test_linf_insensitive_to_seed(rotation_run):
     flow, chain = rotation_run
     phi0 = initial_tracer(flow)
-    exact = reference_solution(flow, phi0, flow.T, False)
+    exact = reference_solution(flow, phi0, flow.T)
     e0 = linf_error(chain, phi0, exact, 100000, 0)
     e1 = linf_error(chain, phi0, exact, 100000, 12345)
     assert e0 > 0.0
@@ -113,7 +114,7 @@ def test_convergence_slope():
 def test_worker_pool_is_bit_identical(rotation_run, monkeypatch):
     flow, chain = rotation_run
     phi0 = initial_tracer(flow)
-    exact = reference_solution(flow, phi0, flow.T, False)
+    exact = reference_solution(flow, phi0, flow.T)
     xref = reference_map(flow, flow.T)
     serial = linf_error(chain, phi0, exact, 150000, 0)
     serial_map = map_error(chain, xref, 150000, 0)
@@ -183,26 +184,25 @@ def test_initial_tracer_choices():
     named = initial_tracer(solid, "zalesak_disks")
     assert set(np.unique(named(pts))) <= {0.1, 1.0}
     assert np.array_equal(initial_tracer(solid)(pts), get_tracer("cosine_bells")(pts))
-    vortex = get_flow("static_vortex")
-    assert vortex.default_tracer is None
-    assert np.array_equal(
-        initial_tracer(vortex)(pts), vortex.exact_solution(pts, 0.0)
-    )
+    for name in ("static_vortex", "moving_vortex"):
+        vortex = get_flow(name)
+        assert initial_tracer(vortex) is vortex.initial
+        assert np.array_equal(initial_tracer(vortex)(pts), vortex_solution(vortex, pts, 0.0))
 
 
 def test_reference_solution_branches():
     pts = sample_sphere(300, 2)
     solid = get_flow("solid_body", alpha=0.3)
     phi0 = initial_tracer(solid)
-    ref = reference_solution(solid, phi0, 0.4, False)
+    ref = reference_solution(solid, phi0, 0.4)
     assert np.array_equal(ref(pts), phi0(solid.exact_map(pts, 0.4)))
     deform = get_flow("deformational", alpha=0.3)
-    assert reference_solution(deform, phi0, deform.T, False) is phi0
-    assert reference_solution(deform, phi0, 0.5 * deform.T, False) is None
+    assert np.array_equal(reference_solution(deform, phi0, deform.T)(pts), phi0(pts))
+    assert reference_solution(deform, phi0, 0.5 * deform.T) is None
     vortex = get_flow("moving_vortex")
     own = initial_tracer(vortex)
-    ref = reference_solution(vortex, own, 0.7, True)
-    assert np.array_equal(ref(pts), vortex.exact_solution(pts, 0.7))
+    ref = reference_solution(vortex, own, 0.7)
+    assert np.abs(ref(pts) - vortex_solution(vortex, pts, 0.7)).max() < 1e-13
 
 
 def test_reference_map_branches():
@@ -213,6 +213,15 @@ def test_reference_map_branches():
     back = reference_map(deform, deform.T)
     assert np.array_equal(back(pts), pts)
     assert reference_map(deform, 0.3) is None
+
+
+@pytest.mark.parametrize("name", sorted(FLOWS))
+def test_every_flow_has_a_reference_at_its_period(name):
+    flow = get_flow(name)
+    assert reference_solution(flow, initial_tracer(flow), flow.T) is not None
+    rep = evaluate_run(flow, MapChain(mesh=build_icosahedral(1)), 0, t=flow.T,
+                       n_samples=1000, mass_cells=8)
+    assert rep.test == name and rep.k == 1
 
 
 def test_evaluate_run_report(rotation_run, empty):

@@ -75,6 +75,18 @@ def test_remap_chain_structure():
     assert np.allclose(chain.breaks, [0.0, 1.0])
 
 
+def test_mesh_level_must_match_config():
+    calls = []
+
+    def velocity(p, t):
+        calls.append(t)
+        return np.zeros_like(p)
+
+    with pytest.raises(ValueError, match="refinement 3, mesh is 1"):
+        run(velocity, CMConfig(level=3, n_steps=2, t_final=1.0), mesh=build_icosahedral(1))
+    assert not calls
+
+
 def test_config_validation():
     bad = [
         dict(n_steps=0, t_final=1.0),

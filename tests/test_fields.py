@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import vortex_solution
 
 from cmsphere.diagnostics import sample_sphere
 from cmsphere.evolve import rk4_backstep
@@ -15,6 +16,7 @@ from cmsphere.fields import (
     vortex_rate,
 )
 from cmsphere.geom import rotation_matrix
+from cmsphere.tracers import cosine_bells
 
 
 @pytest.fixture(scope="module")
@@ -141,35 +143,38 @@ def test_compressible_fixed_points():
 
 
 def test_vortex_solution_transport_consistency(points):
-    # the closed-form solution is the initial condition pulled back along
-    # the closed-form map
+    # the closed-form solution (the oracle in conftest) is the flow's initial
+    # field pulled back along the closed-form map
     for flow in (static_vortex(1.0), moving_vortex(1.0)):
         t = 0.37
-        direct = flow.exact_solution(points, t)
-        via_map = flow.exact_solution(flow.exact_map(points, t), 0.0)
+        direct = vortex_solution(flow, points, t)
+        via_map = flow.initial(flow.exact_map(points, t))
         assert np.abs(direct - via_map).max() < 1e-13, flow.name
 
 
 def test_vortex_solution_constant_along_orbits(points):
     for flow in (static_vortex(1.0), moving_vortex(1.0)):
         q = points[:500].copy()
-        phi0 = flow.exact_solution(q, 0.0)
+        phi0 = flow.initial(q)
         t = 0.0
         dt = flow.T / 200
         for _ in range(200):
             q = rk4_backstep(flow.velocity, q, t, -dt)
             t += dt
-        drift = np.abs(flow.exact_solution(q, t) - phi0).max()
+        drift = np.abs(vortex_solution(flow, q, t) - phi0).max()
         assert drift < 1e-5, flow.name
 
 
-def test_flow_metadata():
+def test_flow_metadata(points):
     for flow in ALL_FLOWS:
         assert flow.name in FLOWS
     assert solid_body(0.0, 1.0).divergence_free
     assert not compressible(1.0).divergence_free
-    assert static_vortex(1.0).default_tracer is None
-    assert moving_vortex(1.0).exact_solution is not None
+    # the vortex flows start from their own field, the others from the bells
+    bells = cosine_bells()(points)
+    for flow in ALL_FLOWS:
+        own = flow.name in ("static_vortex", "moving_vortex")
+        assert np.array_equal(flow.initial(points), bells) != own, flow.name
 
 
 def test_get_flow():

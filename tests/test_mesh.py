@@ -6,6 +6,7 @@ import pytest
 from cmsphere.errors import RefinementTooDeep
 from cmsphere.geom import radial_project
 from cmsphere.mesh import (
+    MAX_LEVEL,
     SUB_VERTS,
     _edge_slots,
     build_icosahedral,
@@ -101,6 +102,11 @@ def test_split_points_shared_bitwise(meshes):
 
 
 def test_refinement_bounds():
+    # checked first: with a higher ceiling, build_icosahedral(9) would build
+    # a multi-gigabyte mesh instead of raising
+    assert MAX_LEVEL == 8
+    with pytest.raises(RefinementTooDeep):
+        build_icosahedral(9)
     with pytest.raises(RefinementTooDeep):
         build_icosahedral(11)
     with pytest.raises(RefinementTooDeep):
