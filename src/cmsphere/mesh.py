@@ -6,6 +6,9 @@ vertex matrices for barycentric solves on the macro triangle and on each
 of its six sub-triangles, and the constants that turn corner Hermite data
 into spline coefficients. Split points are shared through a global edge
 table so neighboring triangles see bit-identical geometry.
+
+The spline constants keep the triangle axis T last: (corner, target, T) for
+ring_*, (r or s, edge, T) for rs and (corner, T) for center_bary.
 """
 
 from dataclasses import dataclass
@@ -209,7 +212,7 @@ def _edge_weights(splits, a, b):
 
 def _ring_constants(entities, g1, g2):
     """Cosine and half sine of each corner-to-target angle and the g1, g2
-    components of the unit tangent toward the target, (n_triangles, 3, 3)."""
+    components of the unit tangent toward the target, (3, 3, n_triangles)."""
     base = entities[:, :3, None, :]
     e = np.take(entities, RING_TARGETS, axis=1)
     cosw = np.sum(base * e, axis=-1)
@@ -218,7 +221,7 @@ def _ring_constants(entities, g1, g2):
     e /= sinw[..., None]
     eg1 = np.sum(e * g1[:, :, None, :], axis=-1)
     eg2 = np.sum(e * g2[:, :, None, :], axis=-1)
-    return cosw, 0.5 * sinw, eg1, eg2
+    return [np.ascontiguousarray(x.transpose(1, 2, 0)) for x in (cosw, 0.5 * sinw, eg1, eg2)]
 
 
 def _build_grid(centers, cells_theta, cells_lam):
@@ -278,7 +281,7 @@ def build_icosahedral(level):
     )
     if np.any(r <= 0.0) or np.any(s <= 0.0):
         raise DegenerateTriangle("edge split point fell outside its edge arc")
-    rs = np.stack([r, s], axis=-1)
+    rs = np.array([r.T, s.T])
 
     macro = corners.transpose(0, 2, 1)
     dets = np.linalg.det(macro)
@@ -295,14 +298,15 @@ def build_icosahedral(level):
         entities, g1[tris], g2[tris]
     )
 
-    sub_mats = entities[:, SUB_VERTS, :].transpose(0, 1, 3, 2)
+    # C order, so that the inverses are too and flatten to (6 T, 3, 3) freely.
+    sub_mats = np.ascontiguousarray(entities[:, SUB_VERTS, :].transpose(0, 1, 3, 2))
     sub_dets = np.linalg.det(sub_mats)
     if np.any(np.abs(sub_dets) < 1e-12):
         raise DegenerateTriangle("sub-triangle vertices are nearly coplanar")
     sub_inv = np.linalg.inv(sub_mats)
 
     spoke_normals = np.cross(centers[:, None, :], entities[:, SPOKES, :])
-    center_bary = np.einsum("tij,tj->ti", macro_inv, centers)
+    center_bary = np.ascontiguousarray(np.einsum("tij,tj->ti", macro_inv, centers).T)
 
     cells = int(min(256, max(8, 2 ** (level + 2))))
     grid = _build_grid(centers, cells, cells)
@@ -348,11 +352,12 @@ def _grid_seed(mesh, p):
 
 
 def _macro_bary(mesh, tri, p):
-    return np.einsum("kij,kj->ki", mesh.macro_inv[tri], p)
+    return np.einsum("kij,kj->ki", np.take(mesh.macro_inv, tri, axis=0), p)
 
 
 def _sub_bary(mesh, tri, sub, p):
-    return np.einsum("kij,kj->ki", mesh.sub_inv[tri, sub], p)
+    inv = np.take(mesh.sub_inv.reshape(-1, 3, 3), tri * 6 + sub, axis=0)
+    return np.einsum("kij,kj->ki", inv, p)
 
 
 def _walk(mesh, p, cur):
@@ -371,15 +376,13 @@ def _walk(mesh, p, cur):
         steps += 1
         if steps > max_steps:
             raise LocationFailure("point location walk exceeded %d steps" % max_steps)
-        order = np.argsort(bm, axis=1)
-        first = order[:, 0]
-        nxt = mesh.adjacency[cur[moving], (first + 1) % 3]
+        nxt = mesh.adjacency[cur[moving], (bm.argmin(axis=1) + 1) % 3]
         # Avoid bouncing straight back; take the second-worst edge instead.
-        bounce = nxt == prev[moving]
-        if np.any(bounce):
-            second = order[:, 1]
-            use2 = bounce & (np.take_along_axis(bm, second[:, None], 1)[:, 0] < -_BARY_TOL)
-            nxt[use2] = mesh.adjacency[cur[moving][use2], (second[use2] + 1) % 3]
+        bounce = np.flatnonzero(nxt == prev[moving])
+        second = np.argsort(bm[bounce], axis=1)[:, 1]
+        use2 = bm[bounce, second] < -_BARY_TOL
+        bounce, second = bounce[use2], second[use2]
+        nxt[bounce] = mesh.adjacency[cur[moving[bounce]], (second + 1) % 3]
         prev[moving] = cur[moving]
         cur[moving] = nxt
         b = _macro_bary(mesh, nxt, p[moving])
@@ -413,7 +416,7 @@ def _locate_from(mesh, p, seed):
     """Locate points p by walking from the triangles seed, which is
     updated in place and returned as their triangles."""
     _lowest_containing(mesh, p, seed, _walk(mesh, p, seed))
-    d = np.einsum("ksj,kj->ks", mesh.spoke_normals[seed], p)
+    d = np.einsum("ksj,kj->ks", np.take(mesh.spoke_normals, seed, axis=0), p)
     score = np.minimum(d, -np.roll(d, -1, axis=1))
     sub = score.argmax(axis=1)
     return seed, sub, _sub_bary(mesh, seed, sub, p)

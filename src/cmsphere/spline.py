@@ -4,7 +4,8 @@ Each macro triangle carries 19 quadratic coefficients assembled from vertex
 values and tangent-frame gradient components. The six sub-triangles share
 these coefficients through the layout in mesh.SUB_COEF, which enforces C1
 joins across all interior spokes; C1 across macro edges follows from the
-placement of the edge split points.
+placement of the edge split points. Splines store them row-major, one
+contiguous (n_triangles, m) slab per coefficient row.
 
 Polynomials are evaluated in spherical barycentric coordinates, which need
 not sum to one. Values use de Casteljau recursion; directional derivatives
@@ -32,56 +33,51 @@ EDGE_ROWS = np.array(
 
 
 def build_coefficients(mesh, values, d1, d2):
-    """Coefficient array (n_triangles, 19, m) for vertex Hermite data.
+    """Coefficient array (n_triangles, 19, m) for vertex Hermite data, a
+    transposed view of a row-major (19, n_triangles, m) buffer.
 
     values, d1, d2 have shape (n_vertices, m); d1 and d2 are the
     derivatives along the mesh vertex frames g1 and g2.
     """
     tris = mesh.triangles
-    f = values[tris]
-    # Row 3 + 3 * corner + target, targets in mesh.RING_TARGETS order:
-    # cos * f + half_sin * (derivative of f toward the target).
-    de = (
-        d1[tris][:, :, None, :] * mesh.ring_g1[..., None]
-        + d2[tris][:, :, None, :] * mesh.ring_g2[..., None]
-    )
-    ring = mesh.ring_cos[..., None] * f[:, :, None, :] + mesh.ring_half_sin[..., None] * de
-
-    n_tris = tris.shape[0]
-    m = values.shape[1]
-    c = np.empty((n_tris, 19, m))
-    c[:, 0:3] = f
-    c[:, 3:12] = ring.reshape(n_tris, 9, m)
-
-    r = mesh.rs[..., 0]
-    s = mesh.rs[..., 1]
+    g1, g2, cos, half_sin, r, s, w = (x[..., None] for x in (
+        mesh.ring_g1, mesh.ring_g2, mesh.ring_cos, mesh.ring_half_sin, *mesh.rs, mesh.center_bary))
+    c = np.empty((19, tris.shape[0], values.shape[1]))
+    for a in range(3):
+        f_a, d1_a, d2_a = (np.take(x, tris[:, a], axis=0) for x in (values, d1, d2))
+        c[a] = f_a
+        # Row 3 + 3 * corner + target, targets in mesh.RING_TARGETS order:
+        # cos * f + half_sin * (derivative of f toward the target).
+        for b in range(3):
+            de = d1_a * g1[a, b] + d2_a * g2[a, b]
+            c[3 + 3 * a + b] = cos[a, b] * f_a + half_sin[a, b] * de
     for row, (edge, i, j) in enumerate(EDGE_ROWS, start=12):
-        c[:, row] = r[:, edge, None] * c[:, i] + s[:, edge, None] * c[:, j]
-    a = mesh.center_bary
-    c[:, 18] = (
-        a[:, 0, None] * c[:, 4] + a[:, 1, None] * c[:, 7] + a[:, 2, None] * c[:, 10]
-    )
-    return c
+        c[row] = r[edge] * c[i] + s[edge] * c[j]
+    c[18] = w[0] * c[4] + w[1] * c[7] + w[2] * c[10]
+    return c.transpose(1, 0, 2)
 
 
 class MacroSpline:
     """A C1 quadratic spline over a macro-split spherical triangulation;
-    coeffs has shape (n_triangles, 19, m)."""
+    coeffs (n_triangles, 19, m) is a view of the row-major buffer _rows."""
 
     def __init__(self, mesh, coeffs):
         self.mesh = mesh
-        self.coeffs = coeffs
+        self._rows = np.ascontiguousarray(coeffs.transpose(1, 0, 2))
+        self.coeffs = self._rows.transpose(1, 0, 2)
 
     def _first_stage(self, tri, sub, bary):
         """Gather each point's six sub-triangle coefficients and run the
         first de Casteljau stage, giving three (n, m) partial values."""
-        cf = self.coeffs[tri[:, None], SUB_COEF[sub]]
+        _, n_tris, m = self._rows.shape
+        flat = self._rows.reshape(-1, m)
+        cf = np.take(flat, np.take(SUB_COEF.T * n_tris, sub, axis=1) + tri, axis=0)
         b1 = bary[:, 0, None]
         b2 = bary[:, 1, None]
         b3 = bary[:, 2, None]
-        e1 = b1 * cf[:, 0] + b2 * cf[:, 3] + b3 * cf[:, 5]
-        e2 = b1 * cf[:, 3] + b2 * cf[:, 1] + b3 * cf[:, 4]
-        e3 = b1 * cf[:, 5] + b2 * cf[:, 4] + b3 * cf[:, 2]
+        e1 = b1 * cf[0] + b2 * cf[3] + b3 * cf[5]
+        e2 = b1 * cf[3] + b2 * cf[1] + b3 * cf[4]
+        e3 = b1 * cf[5] + b2 * cf[4] + b3 * cf[2]
         return e1, e2, e3
 
     def eval_located(self, tri, sub, bary):
@@ -93,7 +89,8 @@ class MacroSpline:
         """Derivatives along directions g (n, q, 3) at located points,
         shape (n, q, m); every direction shares one gather and stage."""
         e1, e2, e3 = self._first_stage(tri, sub, bary)
-        bg = np.einsum("nij,nqj->nqi", self.mesh.sub_inv[tri, sub], g)
+        sub_inv = self.mesh.sub_inv.reshape(-1, 3, 3)
+        bg = np.einsum("nij,nqj->nqi", np.take(sub_inv, tri * 6 + sub, axis=0), g)
         return 2.0 * (
             bg[..., 0, None] * e1[:, None]
             + bg[..., 1, None] * e2[:, None]

@@ -3,7 +3,7 @@ import numpy as np
 from cmsphere.fields import RotatingFrame, vortex_rate
 from cmsphere.geom import cart_to_sph, radial_project, rotation_matrix
 from cmsphere.mesh import _edge_slots, locate_batch
-from cmsphere.spline import MacroSpline, build_coefficients
+from cmsphere.spline import EDGE_ROWS, MacroSpline, build_coefficients
 
 
 def vortex_solution(flow, p, t):
@@ -29,6 +29,39 @@ def interpolate(mesh, values, d1, d2):
         return np.asarray(a, dtype=float).reshape(mesh.n_vertices, -1)
 
     return MacroSpline(mesh, build_coefficients(mesh, cols(values), cols(d1), cols(d2)))
+
+
+def reference_coefficients(mesh, values, d1, d2):
+    """Coefficients (n_triangles, 19, m) built triangle-major, with the mesh
+    constants moved back to triangle-first axes: the oracle for the
+    row-major build, which must equal it bit for bit."""
+    tris = mesh.triangles
+    ring_cos, ring_half_sin, ring_g1, ring_g2 = (
+        x.transpose(2, 0, 1)
+        for x in (mesh.ring_cos, mesh.ring_half_sin, mesh.ring_g1, mesh.ring_g2)
+    )
+    f = values[tris]
+    de = (
+        d1[tris][:, :, None, :] * ring_g1[..., None]
+        + d2[tris][:, :, None, :] * ring_g2[..., None]
+    )
+    ring = ring_cos[..., None] * f[:, :, None, :] + ring_half_sin[..., None] * de
+
+    n_tris = tris.shape[0]
+    m = values.shape[1]
+    c = np.empty((n_tris, 19, m))
+    c[:, 0:3] = f
+    c[:, 3:12] = ring.reshape(n_tris, 9, m)
+
+    r = mesh.rs[0].T
+    s = mesh.rs[1].T
+    for row, (edge, i, j) in enumerate(EDGE_ROWS, start=12):
+        c[:, row] = r[:, edge, None] * c[:, i] + s[:, edge, None] * c[:, j]
+    a = mesh.center_bary.T
+    c[:, 18] = (
+        a[:, 0, None] * c[:, 4] + a[:, 1, None] * c[:, 7] + a[:, 2, None] * c[:, 10]
+    )
+    return c
 
 
 def evaluate(spline, p):

@@ -252,3 +252,12 @@ def test_save_mesh(tmp_path, meshes):
     assert verts.shape == (12, 3)
     assert tris.shape == (20, 3)
     assert np.max(np.abs(verts - meshes[0].vertices)) == 0.0
+
+
+def test_gathered_constants_are_c_contiguous():
+    # Point location and the spline gather these through flat reshapes,
+    # which would copy a strided array on every call
+    mesh = build_icosahedral(2)
+    for name in ("macro_inv", "sub_inv", "spoke_normals", "rs", "center_bary",
+                 "ring_cos", "ring_half_sin", "ring_g1", "ring_g2"):
+        assert getattr(mesh, name).flags.c_contiguous, name

@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
-from conftest import bernstein_value, derivative, edge_jumps, evaluate, interpolate
+from conftest import (
+    bernstein_value,
+    derivative,
+    edge_jumps,
+    evaluate,
+    interpolate,
+    reference_coefficients,
+)
 
 from cmsphere.diagnostics import sample_sphere
 from cmsphere.mesh import SUB_COEF, build_icosahedral, locate_batch
-from cmsphere.spline import MacroSpline
+from cmsphere.spline import MacroSpline, build_coefficients
 
 
 @pytest.fixture(scope="module")
@@ -115,3 +122,35 @@ def test_scalar_and_vector_shapes(mesh):
     gb = g - np.sum(batch * g, axis=1, keepdims=True) * batch
     assert derivative(scalar, batch, gb).shape == (7, 1)
     assert vector.derivative_located(*located, np.stack([gb, gb], axis=1)).shape == (7, 2, 3)
+
+
+@pytest.mark.parametrize("level", range(5))
+@pytest.mark.parametrize("m", [1, 3])
+def test_row_build_matches_reference(level, m):
+    mesh = build_icosahedral(level)
+    rng = np.random.default_rng(level + 10 * m)
+    values, d1, d2 = rng.standard_normal((3, mesh.n_vertices, m))
+    coeffs = build_coefficients(mesh, values, d1, d2)
+    assert coeffs.shape == (mesh.n_triangles, 19, m)
+    assert np.array_equal(coeffs, reference_coefficients(mesh, values, d1, d2))
+
+
+def test_constructor_paths_agree_and_share_one_buffer(mesh):
+    # A spline given build_coefficients' view keeps its buffer; one given a
+    # triangle-major array, as load_chain passes, converts it once and must
+    # evaluate bit for bit the same
+    rng = np.random.default_rng(21)
+    values, d1, d2 = rng.standard_normal((3, mesh.n_vertices, 3))
+    built = MacroSpline(mesh, build_coefficients(mesh, values, d1, d2))
+    copied = MacroSpline(mesh, np.ascontiguousarray(built.coeffs))
+    pts = sample_sphere(3000, seed=5)
+    located = locate_batch(mesh, pts)
+    g = rng.standard_normal((3000, 2, 3))
+    assert np.array_equal(built.eval_located(*located), copied.eval_located(*located))
+    assert np.array_equal(
+        built.derivative_located(*located, g), copied.derivative_located(*located, g)
+    )
+    for sp in (built, copied):
+        assert np.array_equal(sp.coeffs, built.coeffs)
+        assert sp._rows.flags.c_contiguous
+        assert np.shares_memory(sp.coeffs, sp._rows)
