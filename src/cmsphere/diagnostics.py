@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .geom import radial_project, sph_to_cart
+from .geom import radial_project
 from .mesh import triangle_areas
 from .tracers import get_tracer
 

@@ -22,4 +22,4 @@ class RefinementTooDeep(CmsphereError):
 
 
 class NonFiniteState(CmsphereError):
-    """A NaN or infinity appeared in evolved map data."""
+    """Evolved map data lost finiteness or strayed from the sphere."""

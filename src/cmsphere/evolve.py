@@ -82,7 +82,8 @@ def run(u, config, mesh=None):
     ValueError
         If mesh is given at a level other than config.level.
     NonFiniteState
-        If reconstructed map data stops being finite.
+        If reconstructed map data stops being finite, or a vertex value's
+        norm leaves [0.5, 1.5].
     """
     vel = getattr(u, "velocity", u)
     if mesh is None:
@@ -111,12 +112,13 @@ def run(u, config, mesh=None):
         values, d1, d2 = reconstruct_hermite(
             samples.reshape(nv, 4, 3), config.epsilon
         )
+        # NaN and infinite values fail the norm band as well
         if not (
-            np.all(np.isfinite(values))
+            np.all(np.abs(np.linalg.norm(values, axis=1) - 1.0) <= 0.5)
             and np.all(np.isfinite(d1))
             and np.all(np.isfinite(d2))
         ):
-            raise NonFiniteState("map data lost finiteness at step %d" % n)
+            raise NonFiniteState("map data lost finiteness or left the sphere at step %d" % n)
         current = SphereMap.from_hermite(mesh, values, d1, d2)
 
         if config.verbose:

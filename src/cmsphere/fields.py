@@ -3,7 +3,14 @@
 Each flow bundles its velocity with whatever exact information it admits: a
 closed-form backward map, or just the fact that the field retraces itself so
 the final map is the identity. The exact tracer is the initial tracer along
-that map. Fields built in a rotating frame share the RotatingFrame helper.
+that map.
+
+Every flow but the compressible one is a rigid rotation plus, optionally, a
+field written in a frame that turns with it: u(p, t) = omega x p +
+R(t) u'(R(t)^T p, t). The deformational flow co-rotates its deformation
+with the tilted rigid part; the moving vortex sweeps its twin vortices
+about z at the rigid rate, and the static vortex is the same flow in a
+still frame (rate 0, so R(t) is exactly its fixed tilt).
 """
 
 from dataclasses import dataclass, field
@@ -30,7 +37,6 @@ class Flow:
     name: str
     T: float
     velocity: object
-    divergence_free: bool
     reversing: bool = False
     exact_map: object = None
     initial: object = field(default_factory=cosine_bells)
@@ -56,10 +62,28 @@ def _ry(angle):
     return rotation_matrix(np.array([0.0, 1.0, 0.0]), angle)
 
 
+def _tilted_axis(alpha):
+    """Unit rotation axis tilted from z toward x by alpha."""
+    return np.array([np.sin(alpha), 0.0, np.cos(alpha)])
+
+
+def _framed_velocity(omega, frame, local):
+    """Rigid rotation omega plus local(q, t), a field given in frame's
+    coordinates q = p R(t)."""
+
+    def velocity(p, t):
+        p = np.asarray(p, dtype=float)
+        m = frame.matrix(t)
+        q = p @ m
+        return np.cross(omega, p) + local(q, t) @ m.T
+
+    return velocity
+
+
 def solid_body(alpha=0.0, T=1.0):
     """Rigid rotation with one period over [0, T], axis tilted by alpha."""
     rate = 2.0 * np.pi / T
-    axis = np.array([np.sin(alpha), 0.0, np.cos(alpha)])
+    axis = _tilted_axis(alpha)
     omega = rate * axis
 
     def velocity(p, t):
@@ -68,22 +92,13 @@ def solid_body(alpha=0.0, T=1.0):
     def exact_map(p, t):
         return rotate_about_axis(p, axis, -rate * t)
 
-    return Flow(
-        name="solid_body",
-        T=T,
-        velocity=velocity,
-        divergence_free=True,
-        reversing=False,
-        exact_map=exact_map,
-    )
+    return Flow(name="solid_body", T=T, velocity=velocity, exact_map=exact_map)
 
 
 def _deform_prime(q, t, T):
     """Deformation velocity in its co-rotating frame, rows of q primed."""
     amp = 4.0 * np.cos(np.pi * t / T) * q[..., 1]
-    out = np.stack(
-        [-q[..., 2], np.zeros_like(amp), q[..., 0]], axis=-1
-    )
+    out = np.stack([-q[..., 2], np.zeros_like(amp), q[..., 0]], axis=-1)
     return amp[..., None] * out
 
 
@@ -94,23 +109,9 @@ def deformational(alpha=0.0, T=5.0):
     part, so the two components stay aligned for every tilt alpha.
     """
     rate = 2.0 * np.pi / T
-    axis = np.array([np.sin(alpha), 0.0, np.cos(alpha)])
-    omega = rate * axis
     frame = RotatingFrame(pre=_ry(alpha), rate=rate, post=np.eye(3))
-
-    def velocity(p, t):
-        p = np.asarray(p, dtype=float)
-        m = frame.matrix(t)
-        q = p @ m
-        return np.cross(omega, p) + _deform_prime(q, t, T) @ m.T
-
-    return Flow(
-        name="deformational",
-        T=T,
-        velocity=velocity,
-        divergence_free=True,
-        reversing=True,
-    )
+    velocity = _framed_velocity(rate * _tilted_axis(alpha), frame, partial(_deform_prime, T=T))
+    return Flow(name="deformational", T=T, velocity=velocity, reversing=True)
 
 
 def vortex_rate(rho, T):
@@ -127,8 +128,9 @@ def vortex_rate(rho, T):
     return (2.0 * np.pi / T) * 1.5 * np.sqrt(3.0) * w
 
 
-def _vortex_prime(q, T):
-    """Vortex velocity in its own frame: azimuthal rotation at vortex_rate."""
+def _vortex_prime(q, t, T):
+    """Vortex velocity in its own frame, steady: azimuthal rotation at
+    vortex_rate."""
     s = np.hypot(q[..., 0], q[..., 1])
     w = vortex_rate(3.0 * s, T)
     out = np.stack([-q[..., 1], q[..., 0], np.zeros_like(w)], axis=-1)
@@ -142,42 +144,10 @@ def _vortex_initial(p, frame0):
     return 1.0 - np.tanh(0.2 * rho * np.sin(lam))
 
 
-def static_vortex(T=1.0):
-    """Twin vortices fixed on the equator; runs start from the vortex field."""
-    rot = _rx(-0.5 * np.pi)
-
-    def velocity(p, t):
-        p = np.asarray(p, dtype=float)
-        q = p @ rot
-        return _vortex_prime(q, T) @ rot.T
-
-    def exact_map(p, t):
-        q = np.asarray(p, dtype=float) @ rot
-        lam, theta = cart_to_sph(q)
-        w = vortex_rate(3.0 * np.sin(theta), T)
-        return sph_to_cart(lam - w * t, theta) @ rot.T
-
-    return Flow(
-        name="static_vortex",
-        T=T,
-        velocity=velocity,
-        divergence_free=True,
-        exact_map=exact_map,
-        initial=partial(_vortex_initial, frame0=rot),
-    )
-
-
-def moving_vortex(T=1.0):
-    """Twin vortices swept along by a rigid z rotation; runs start from the vortex field."""
-    rate = 2.0 * np.pi / T
-    omega = rate * _Z
+def _vortex_flow(name, T, rate):
+    """Twin vortices on the equator, their frame turning about z at rate;
+    runs start from the vortex field."""
     frame = RotatingFrame(pre=np.eye(3), rate=rate, post=_rx(-0.5 * np.pi))
-
-    def velocity(p, t):
-        p = np.asarray(p, dtype=float)
-        m = frame.matrix(t)
-        q = p @ m
-        return np.cross(omega, p) + _vortex_prime(q, T) @ m.T
 
     def exact_map(p, t):
         q = np.asarray(p, dtype=float) @ frame.matrix(t)
@@ -186,13 +156,22 @@ def moving_vortex(T=1.0):
         return sph_to_cart(lam - w * t, theta) @ frame.matrix(0.0).T
 
     return Flow(
-        name="moving_vortex",
+        name=name,
         T=T,
-        velocity=velocity,
-        divergence_free=True,
+        velocity=_framed_velocity(rate * _Z, frame, partial(_vortex_prime, T=T)),
         exact_map=exact_map,
         initial=partial(_vortex_initial, frame0=frame.matrix(0.0)),
     )
+
+
+def static_vortex(T=1.0):
+    """Twin vortices fixed on the equator: moving_vortex in a still frame."""
+    return _vortex_flow("static_vortex", T, 0.0)
+
+
+def moving_vortex(T=1.0):
+    """Twin vortices swept along by a rigid z rotation of period T."""
+    return _vortex_flow("moving_vortex", T, 2.0 * np.pi / T)
 
 
 def compressible(T=1.0):
@@ -215,13 +194,7 @@ def compressible(T=1.0):
         e_theta = np.stack([ct * cl, ct * sl, -st], axis=-1)
         return (u * st**2)[..., None] * e_lam + v[..., None] * e_theta
 
-    return Flow(
-        name="compressible",
-        T=T,
-        velocity=velocity,
-        divergence_free=False,
-        reversing=True,
-    )
+    return Flow(name="compressible", T=T, velocity=velocity, reversing=True)
 
 
 FLOWS = {

@@ -39,16 +39,9 @@ class SphereMap:
         """Interpolate map component data given at the mesh vertices.
 
         values, d1, d2 : arrays, shape (n_vertices, 3)
-            Cartesian components and their frame derivatives.
-
-        Raises
-        ------
-        ValueError
-            If any vertex value norm is outside [0.5, 1.5].
+            Cartesian components and their frame derivatives, checked
+            by the caller (evolve.run) to lie near the sphere.
         """
-        norms = np.linalg.norm(values, axis=1)
-        if np.any(norms < 0.5) or np.any(norms > 1.5):
-            raise ValueError("map vertex values stray too far from the sphere")
         return cls(MacroSpline(mesh, build_coefficients(mesh, values, d1, d2)))
 
     def eval(self, p, dirs=None, loc=None):

@@ -307,3 +307,11 @@ def test_nonfinite_exit_code(exc, word, capsys, monkeypatch):
     assert cli.main(["run", "--k", "2", "--n-steps", "2"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and word in err and err.count("\n") == 1
+
+
+def test_map_leaving_sphere_exits_3(capsys):
+    # a real breakdown, not a patched one: steps far too long for the mesh
+    argv = ["run", "--test", "deformational", "--k", "1", "--n-steps", "2", "--T", "1000"]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sphere" in err and err.count("\n") == 1

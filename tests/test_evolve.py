@@ -153,6 +153,13 @@ def test_nonfinite_velocity_raises():
         run(broken, CMConfig(level=1, n_steps=3, t_final=1.0))
 
 
+def test_stray_map_values_raise_nonfinite():
+    # a step far too long for the mesh leaves finite vertex values whose
+    # norms stray from the sphere; the evolution stops at that step
+    with pytest.raises(NonFiniteState, match="left the sphere at step 1"):
+        run(deformational(0.0, 1000.0), CMConfig(level=1, n_steps=2, t_final=1000.0))
+
+
 def test_verbose_progress(capsys):
     flow = solid_body(0.0, 1.0)
     run(flow, CMConfig(level=1, n_steps=2, t_final=1.0, verbose=True))

@@ -63,10 +63,12 @@ def test_rotating_frame_is_orthogonal():
 
 
 def test_exact_maps_match_integration(points):
-    for flow in (solid_body(1.05, 1.0), static_vortex(1.0), moving_vortex(1.0)):
-        back = integrate_back(flow, points, 0.73, 400)
-        err = np.linalg.norm(back - flow.exact_map(points, 0.73), axis=1)
-        assert err.max() < 1e-7, flow.name
+    for T in (1.0, 2.0):
+        for flow in (solid_body(1.05, T), static_vortex(T), moving_vortex(T)):
+            t = 0.73 * T
+            back = integrate_back(flow, points, t, 400)
+            err = np.linalg.norm(back - flow.exact_map(points, t), axis=1)
+            assert err.max() < 1e-7, (flow.name, T)
 
 
 def test_reversing_flows_return_to_start(points):
@@ -145,11 +147,12 @@ def test_compressible_fixed_points():
 def test_vortex_solution_transport_consistency(points):
     # the closed-form solution (the oracle in conftest) is the flow's initial
     # field pulled back along the closed-form map
-    for flow in (static_vortex(1.0), moving_vortex(1.0)):
-        t = 0.37
-        direct = vortex_solution(flow, points, t)
-        via_map = flow.initial(flow.exact_map(points, t))
-        assert np.abs(direct - via_map).max() < 1e-13, flow.name
+    for T in (1.0, 2.0):
+        for flow in (static_vortex(T), moving_vortex(T)):
+            t = 0.37 * T
+            direct = vortex_solution(flow, points, t)
+            via_map = flow.initial(flow.exact_map(points, t))
+            assert np.abs(direct - via_map).max() < 1e-13, (flow.name, T)
 
 
 def test_vortex_solution_constant_along_orbits(points):
@@ -168,8 +171,9 @@ def test_vortex_solution_constant_along_orbits(points):
 def test_flow_metadata(points):
     for flow in ALL_FLOWS:
         assert flow.name in FLOWS
-    assert solid_body(0.0, 1.0).divergence_free
-    assert not compressible(1.0).divergence_free
+    # the reversing flows are the ones without a closed-form map
+    for flow in ALL_FLOWS:
+        assert flow.reversing == (flow.exact_map is None), flow.name
     # the vortex flows start from their own field, the others from the bells
     bells = cosine_bells()(points)
     for flow in ALL_FLOWS:

@@ -101,14 +101,6 @@ def test_entry_points_share_one_walk(mesh, points):
     assert np.abs(dets - np.linalg.det(m)).max() < 1e-13
 
 
-def test_from_hermite_rejects_stray_values(mesh):
-    for scale in (0.4, 1.7):
-        with pytest.raises(ValueError):
-            SphereMap.from_hermite(
-                mesh, scale * mesh.vertices, mesh.g1.copy(), mesh.g2.copy()
-            )
-
-
 def test_collapsed_value_raises(mesh):
     degenerate = SphereMap(
         MacroSpline(mesh, np.zeros((mesh.n_triangles, 19, 3)))
