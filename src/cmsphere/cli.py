@@ -159,11 +159,16 @@ def _merge(args, command, spec):
     return SimpleNamespace(**out)
 
 
-def _check_level(k, allow_deep):
+def _check_level(ns):
+    """Reject a refinement level out of range, or above 6 without
+    --allow-deep: k, or k_max for a k range, which must not be empty."""
+    k = ns.k_max if "k_max" in vars(ns) else ns.k
+    if "k_min" in vars(ns) and ns.k_min > k:
+        raise UsageError("k range is empty: %d..%d" % (ns.k_min, k))
     if k > MAX_LEVEL:
         raise UsageError("refinement k=%d is out of range (max %d)" % (k, MAX_LEVEL))
     if k > 6:
-        if not allow_deep:
+        if not ns.allow_deep:
             raise UsageError(
                 "k=%d exceeds the desk-scale cap of 6; pass --allow-deep to override"
                 % k
@@ -283,7 +288,6 @@ def _window_grid(center_lam, center_theta, width, res):
 
 
 def cmd_mesh(ns):
-    _check_level(ns.k, ns.allow_deep)
     t0 = time.time()
     mesh = build_icosahedral(ns.k)
     dt = time.time() - t0
@@ -300,7 +304,6 @@ def cmd_mesh(ns):
 
 
 def cmd_run(ns):
-    _check_level(ns.k, ns.allow_deep)
     flow = _build_flow(ns.test, ns.alpha, ns.T)
     t_final = ns.t if ns.t is not None else flow.T
     if ns.csv and diag.reference_map(flow, t_final) is None:
@@ -316,17 +319,14 @@ def cmd_run(ns):
         save_chain(chain, ns.save_chain)
         print("chain saved to %s" % ns.save_chain)
     if ns.csv:
-        report = _report(flow, chain, cfg, ns, wall)
-        diag.write_csv(ns.csv, [report])
+        row = _report(flow, chain, cfg, ns, wall).csv_row()
+        _write_table(ns.csv, diag.CSV_HEADER, "%s", [row])
         print(diag.CSV_HEADER)
-        print(report.csv_row())
+        print(row)
     return 0
 
 
 def cmd_converge(ns):
-    if ns.k_min > ns.k_max:
-        raise UsageError("k range is empty: %d..%d" % (ns.k_min, ns.k_max))
-    _check_level(ns.k_max, ns.allow_deep)
     flow = _build_flow(ns.test, ns.alpha, ns.T)
     cfgs = [_config(ns, flow.T, k=k) for k in range(ns.k_min, ns.k_max + 1)]
     reports = []
@@ -348,12 +348,11 @@ def cmd_converge(ns):
         except ValueError:
             print("slope %s: n/a (errors at precision floor)" % label)
     if ns.csv:
-        diag.write_csv(ns.csv, reports)
+        _write_table(ns.csv, diag.CSV_HEADER, "%s", [r.csv_row() for r in reports])
     return 0
 
 
 def cmd_render(ns):
-    _check_level(ns.k, ns.allow_deep)
     if ns.width is not None and (ns.center_lam is None or ns.center_theta is None):
         raise UsageError("window rendering needs --center-lam and --center-theta")
     flow = _build_flow(ns.test, ns.alpha, ns.T)
@@ -379,7 +378,6 @@ def cmd_render(ns):
 
 
 def cmd_mixing(ns):
-    _check_level(ns.k, ns.allow_deep)
     flow = _build_flow("deformational", ns.alpha, ns.T)
     t_half = ns.t if ns.t is not None else 0.5 * flow.T
     chain, _ = _evolve(flow, _config(ns, t_half))
@@ -394,7 +392,6 @@ def cmd_mixing(ns):
 
 
 def cmd_mass(ns):
-    _check_level(ns.k, ns.allow_deep)
     flow = _build_flow(ns.test, ns.alpha, ns.T)
     chain, _ = _evolve(flow, _config(ns, flow.T))
     rows = []
@@ -408,7 +405,6 @@ def cmd_mass(ns):
 
 
 def cmd_remap_study(ns):
-    _check_level(ns.k, ns.allow_deep)
     flow = _build_flow("moving_vortex", None, ns.T)
     phi0 = diag.initial_tracer(flow, ns.tracer)
     exact = diag.reference_solution(flow, phi0, flow.T)
@@ -535,7 +531,9 @@ def main(argv=None):
             diag._thread_count()
         except ValueError as e:
             raise UsageError(str(e))
-        return handler(_merge(args, args.command, spec))
+        ns = _merge(args, args.command, spec)
+        _check_level(ns)
+        return handler(ns)
     except UsageError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

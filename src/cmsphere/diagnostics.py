@@ -41,11 +41,6 @@ def _chunk_points(seed, index, m):
     return radial_project(rng.standard_normal((m, 3)))
 
 
-def sample_sphere(n, seed):
-    """Uniform random unit points, reproducing the chunked sampling order."""
-    return np.concatenate(_per_chunk(lambda pts: pts, n, seed))
-
-
 def _per_chunk(fn, n_samples, seed):
     """Apply fn to every sample chunk; return the results in chunk order."""
     n_samples = int(n_samples)
@@ -222,13 +217,6 @@ class ErrorReport:
             self.wall_time_s,
             self.seed,
         )
-
-
-def write_csv(path, reports):
-    with open(path, "w") as f:
-        f.write(CSV_HEADER + "\n")
-        for r in reports:
-            f.write(r.csv_row() + "\n")
 
 
 def initial_tracer(flow, name=None):

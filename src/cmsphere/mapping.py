@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ZeroVector
 from .geom import project_differential, vertex_frames
-from .mesh import build_icosahedral, locate_batch
+from .mesh import MAX_LEVEL, build_icosahedral, locate_batch
 from .spline import MacroSpline, build_coefficients
 
 # Map evaluations whose pre-projection norm falls below this are treated as
@@ -146,23 +146,30 @@ def load_chain(path, mesh=None):
     Raises
     ------
     ValueError
-        If the format, level, coefficient shape or breaks do not fit the
-        layout save_chain writes.
+        If a key is missing, or the format, level, coefficient shape or
+        breaks do not fit the layout save_chain writes.
     """
     with np.load(path) as z:
+        missing = [k for k in ("format", "level", "breaks", "coeffs") if k not in z.files]
+        if missing:
+            raise ValueError("chain file lacks %s" % ", ".join(missing))
         if int(z["format"]) != _CHAIN_FORMAT:
             raise ValueError("unknown chain format %r" % int(z["format"]))
         level = int(z["level"])
+        if not 0 <= level <= MAX_LEVEL:
+            raise ValueError("chain refinement %d outside [0, %d]" % (level, MAX_LEVEL))
         breaks = [float(t) for t in z["breaks"]]
         coeffs = z["coeffs"]
-    if mesh is None:
-        mesh = build_icosahedral(level)
-    elif mesh.level != level:
+    if mesh is not None and mesh.level != level:
         raise ValueError("chain was saved at refinement %d, mesh is %d" % (level, mesh.level))
-    if coeffs.shape != coeffs.shape[:1] + (mesh.n_triangles, 19, 3):
+    # Checked before the mesh is built: a level-k mesh has 20 * 4**k triangles.
+    n_triangles = 20 * 4**level
+    if coeffs.shape != coeffs.shape[:1] + (n_triangles, 19, 3):
         raise ValueError("chain coefficients have shape %s, want (n_maps, %d, 19, 3)"
-                         % (coeffs.shape, mesh.n_triangles))
+                         % (coeffs.shape, n_triangles))
     if len(breaks) != len(coeffs) + 1 or np.any(np.diff(breaks) < 0.0):
         raise ValueError("chain breaks must be %d non-decreasing times" % (len(coeffs) + 1))
+    if mesh is None:
+        mesh = build_icosahedral(level)
     maps = [SphereMap(MacroSpline(mesh, c)) for c in coeffs]
     return MapChain(mesh=mesh, maps=maps, breaks=breaks)

@@ -1,11 +1,12 @@
 """Icosahedral geodesic triangulations with six-way macro-element splits.
 
-Each macro triangle carries the geometry needed by the quadratic spline
-elements: a barycenter, a split point on every edge, prefactored inverse
-vertex matrices for barycentric solves on the macro triangle and on each
-of its six sub-triangles, and the constants that turn corner Hermite data
-into spline coefficients. Split points are shared through a global edge
-table so neighboring triangles see bit-identical geometry.
+Each macro triangle carries prefactored inverse vertex matrices for
+barycentric solves on the macro triangle and on each of its six
+sub-triangles, and the constants that turn corner Hermite data into
+quadratic spline coefficients. The barycenters and edge split points these
+are derived from are build-time geometry: the mesh keeps only the constants.
+Split points come from a global edge table, so neighboring triangles see
+bit-identical geometry.
 
 The spline constants keep the triangle axis T last: (corner, target, T) for
 ring_*, (r or s, edge, T) for rs and (corner, T) for center_bary.
@@ -71,13 +72,9 @@ class SphereMesh:
     level: int
     vertices: np.ndarray
     triangles: np.ndarray
-    edges: np.ndarray
-    tri_edges: np.ndarray
     adjacency: np.ndarray
     g1: np.ndarray
     g2: np.ndarray
-    centers: np.ndarray
-    splits: np.ndarray
     macro_inv: np.ndarray
     sub_inv: np.ndarray
     spoke_normals: np.ndarray
@@ -161,12 +158,6 @@ def _refine_once(verts, tris):
     return np.vstack([verts, mids]), children
 
 
-def _edge_slots(tri_edges):
-    """The two flat slots (3 * triangle + slot) of each edge, lower first;
-    every edge of a closed surface fills two slots, adjacent once sorted."""
-    return np.argsort(tri_edges.ravel(), kind="stable").reshape(-1, 2)
-
-
 def _adjacency(slots):
     """Neighbor triangle across each edge slot: the owner of the other slot."""
     adj = np.empty(slots.size, dtype=np.int64)
@@ -208,6 +199,17 @@ def _edge_weights(splits, a, b):
     r = (pa - d * pb) / den
     s = (pb - d * pa) / den
     return r, s
+
+
+def _edge_geometry(verts, tris):
+    """Edges, each triangle's edge ids, the two flat slots (3 * triangle +
+    slot) of each edge, lower first, the barycenters, and each triangle's
+    split points (n_triangles, 3, 3); the build keeps only what they give."""
+    edges, tri_edges = _edge_table(verts.shape[0], tris)
+    slots = np.argsort(tri_edges.ravel(), kind="stable").reshape(-1, 2)
+    centers = radial_project(verts[tris].sum(axis=1))
+    splits = _edge_split_points(verts, edges, slots // 3, centers)[tri_edges]
+    return edges, tri_edges, slots, centers, splits
 
 
 def _ring_constants(entities, g1, g2):
@@ -266,12 +268,8 @@ def build_icosahedral(level):
     for _ in range(level):
         verts, tris = _refine_once(verts, tris)
 
-    edges, tri_edges = _edge_table(verts.shape[0], tris)
-    slots = _edge_slots(tri_edges)
+    _, _, slots, centers, splits = _edge_geometry(verts, tris)
     adjacency = _adjacency(slots)
-    centers = radial_project(verts[tris].sum(axis=1))
-    edge_splits = _edge_split_points(verts, edges, slots // 3, centers)
-    splits = edge_splits[tri_edges]
 
     corners = verts[tris]
     r, s = _edge_weights(
@@ -322,13 +320,9 @@ def build_icosahedral(level):
         level=level,
         vertices=verts,
         triangles=tris,
-        edges=edges,
-        tri_edges=tri_edges,
         adjacency=adjacency,
         g1=g1,
         g2=g2,
-        centers=centers,
-        splits=splits,
         macro_inv=macro_inv,
         sub_inv=sub_inv,
         spoke_normals=spoke_normals,
@@ -467,23 +461,20 @@ def locate_batch(mesh, p, start=None):
     return tri, sub, bary
 
 
-def edge_arc_lengths(mesh):
-    a = mesh.vertices[mesh.edges[:, 0]]
-    b = mesh.vertices[mesh.edges[:, 1]]
-    return great_circle_distance(a, b)
+def _side_arcs(mesh):
+    """Arc lengths of each triangle's sides v1v2, v2v0 and v0v1."""
+    v = mesh.vertices[mesh.triangles]
+    return [great_circle_distance(v[:, i], v[:, (i + 1) % 3]) for i in (1, 2, 0)]
 
 
 def h_max(mesh):
     """Longest edge arc, the mesh size parameter."""
-    return float(edge_arc_lengths(mesh).max())
+    return float(max(side.max() for side in _side_arcs(mesh)))
 
 
 def triangle_areas(mesh):
     """Spherical areas via l'Huilier's theorem, shape (n_triangles,)."""
-    v = mesh.vertices[mesh.triangles]
-    a = great_circle_distance(v[:, 1], v[:, 2])
-    b = great_circle_distance(v[:, 2], v[:, 0])
-    c = great_circle_distance(v[:, 0], v[:, 1])
+    a, b, c = _side_arcs(mesh)
     s = 0.5 * (a + b + c)
     t = (
         np.tan(0.5 * s)

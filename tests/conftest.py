@@ -1,9 +1,28 @@
+from types import SimpleNamespace
+
 import numpy as np
 
+from cmsphere.diagnostics import _per_chunk
 from cmsphere.fields import RotatingFrame, vortex_rate
 from cmsphere.geom import cart_to_sph, radial_project, rotation_matrix
-from cmsphere.mesh import _edge_slots, locate_batch
+from cmsphere.mesh import _edge_geometry, locate_batch
 from cmsphere.spline import EDGE_ROWS, MacroSpline, build_coefficients
+
+
+def sample_sphere(n, seed):
+    """Uniform random unit points in the chunked order the random-point
+    error norms draw them."""
+    return np.concatenate(_per_chunk(lambda pts: pts, n, seed))
+
+
+def edge_geometry(mesh):
+    """The build-time geometry the mesh does not keep, rebuilt by the
+    build's own code: edges (n_edges, 2), tri_edges (n_triangles, 3), the
+    two flat slots (3 * triangle + slot) of each edge, triangle centers,
+    and each triangle's split points (n_triangles, 3, 3)."""
+    edges, tri_edges, slots, centers, splits = _edge_geometry(mesh.vertices, mesh.triangles)
+    return SimpleNamespace(edges=edges, tri_edges=tri_edges, slots=slots,
+                           centers=centers, splits=splits)
 
 
 def vortex_solution(flow, p, t):
@@ -108,9 +127,10 @@ def edge_jumps(spline, n_pts):
     """Largest cross-edge value and transversal-derivative disagreement of a
     one-component spline, sampled at n_pts interior points per macro edge."""
     mesh = spline.mesh
-    pair = _edge_slots(mesh.tri_edges) // 3
-    a = mesh.vertices[mesh.edges[:, 0]]
-    b = mesh.vertices[mesh.edges[:, 1]]
+    geo = edge_geometry(mesh)
+    pair = geo.slots // 3
+    a = mesh.vertices[geo.edges[:, 0]]
+    b = mesh.vertices[geo.edges[:, 1]]
     normal = radial_project(np.cross(a, b))
     c0 = 0.0
     c1 = 0.0

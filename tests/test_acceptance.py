@@ -11,7 +11,14 @@ import time
 
 import numpy as np
 import pytest
-from conftest import bernstein_value, derivative, edge_jumps, evaluate, interpolate
+from conftest import (
+    bernstein_value,
+    derivative,
+    edge_jumps,
+    evaluate,
+    interpolate,
+    sample_sphere,
+)
 
 from cmsphere.diagnostics import (
     convergence_slope,
@@ -21,7 +28,6 @@ from cmsphere.diagnostics import (
     mass_integral,
     initial_tracer,
     reference_solution,
-    sample_sphere,
 )
 from cmsphere.evolve import CMConfig, rk4_backstep, run
 from cmsphere.fields import get_flow

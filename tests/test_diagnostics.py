@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import vortex_solution
+from conftest import sample_sphere, vortex_solution
 
 from cmsphere.diagnostics import (
     CSV_HEADER,
@@ -16,8 +16,6 @@ from cmsphere.diagnostics import (
     mass_integral,
     reference_map,
     reference_solution,
-    sample_sphere,
-    write_csv,
 )
 from cmsphere.evolve import CMConfig, run
 from cmsphere.fields import FLOWS, get_flow
@@ -167,15 +165,6 @@ def test_error_report_validation_and_row():
         make_report(linf=-1e-3)
     with pytest.raises(ValueError):
         make_report(map_err=(1e-4, np.nan, 3e-4))
-
-
-def test_write_csv_roundtrip(tmp_path):
-    path = tmp_path / "errors.csv"
-    write_csv(path, [make_report(), make_report(k=4, linf=2e-4)])
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == CSV_HEADER
-    assert len(lines) == 3
-    assert float(lines[2].split(",")[4]) == pytest.approx(2e-4)
 
 
 def test_initial_tracer_choices():

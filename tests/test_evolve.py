@@ -3,9 +3,9 @@ import time
 
 import numpy as np
 import pytest
+from conftest import sample_sphere
 
 from cmsphere import evolve
-from cmsphere.diagnostics import sample_sphere
 from cmsphere.errors import NonFiniteState
 from cmsphere.evolve import CMConfig, pullback_density, pullback_tracer, rk4_backstep, run
 from cmsphere.fields import deformational, moving_vortex, solid_body

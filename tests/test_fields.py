@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-from conftest import vortex_solution
+from conftest import sample_sphere, vortex_solution
 
-from cmsphere.diagnostics import sample_sphere
 from cmsphere.evolve import rk4_backstep
 from cmsphere.fields import (
     FLOWS,

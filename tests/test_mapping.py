@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from conftest import sample_sphere
 
-from cmsphere.diagnostics import sample_sphere
+from cmsphere import mapping
 from cmsphere.errors import ZeroVector
 from cmsphere.geom import rotation_matrix, vertex_frames
 from cmsphere.mapping import MapChain, SphereMap, load_chain, save_chain
@@ -159,5 +160,29 @@ def test_load_rejects_mismatched_mesh(tmp_path, mesh):
 def test_load_rejects_malformed_chain(tmp_path, n_coeffs, breaks):
     path = tmp_path / "bad.npz"
     np.savez(path, format=1, level=1, breaks=np.array(breaks), coeffs=np.zeros(n_coeffs))
+    with pytest.raises(ValueError):
+        load_chain(path)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(format=1, level=9, breaks=[0.0], coeffs=np.zeros((0, 80, 19, 3))),  # above MAX_LEVEL
+        dict(format=1, level=-1, breaks=[0.0], coeffs=np.zeros((0, 80, 19, 3))),
+        dict(format=1, level=1, coeffs=np.zeros((0, 80, 19, 3))),  # no breaks
+        dict(format=1, breaks=[0.0], coeffs=np.zeros((0, 80, 19, 3))),  # no level
+        dict(level=1, breaks=[0.0], coeffs=np.zeros((0, 80, 19, 3))),  # no format
+        dict(format=1, level=1, breaks=[0.0]),  # no coefficients
+        dict(format=1, level=8, breaks=[0.0], coeffs=np.zeros((0, 80, 19, 3))),  # shape off level 8
+    ],
+)
+def test_load_rejects_bad_level_or_missing_keys(tmp_path, monkeypatch, fields):
+    # rejected before any mesh is built, so no test builds a deep one
+    def build(level):
+        raise AssertionError("built a level-%d mesh before rejecting the file" % level)
+
+    monkeypatch.setattr(mapping, "build_icosahedral", build)
+    path = tmp_path / "bad.npz"
+    np.savez(path, **fields)
     with pytest.raises(ValueError):
         load_chain(path)

@@ -2,15 +2,14 @@
 
 import numpy as np
 import pytest
+from conftest import edge_geometry
 
 from cmsphere.errors import RefinementTooDeep
-from cmsphere.geom import radial_project
+from cmsphere.geom import great_circle_distance, radial_project
 from cmsphere.mesh import (
     MAX_LEVEL,
     SUB_VERTS,
-    _edge_slots,
     build_icosahedral,
-    edge_arc_lengths,
     h_max,
     locate_batch,
     save_mesh,
@@ -24,6 +23,12 @@ H_TABLE = {0: 1.10715, 1: 0.62832, 2: 0.32637, 3: 0.16483, 4: 0.08263}
 @pytest.fixture(scope="module")
 def meshes():
     return {k: build_icosahedral(k) for k in range(5)}
+
+
+@pytest.fixture(scope="module")
+def geometry(meshes):
+    """Edge table, centers and split points of each mesh, from the build's code."""
+    return {k: edge_geometry(mesh) for k, mesh in meshes.items()}
 
 
 def random_units(n, seed):
@@ -51,10 +56,10 @@ def test_h_halves_per_level(meshes):
     assert ratios[-1] < 0.51
 
 
-def test_euler_formula(meshes):
-    for mesh in meshes.values():
+def test_euler_formula(meshes, geometry):
+    for k, mesh in meshes.items():
         v = mesh.n_vertices
-        e = mesh.edges.shape[0]
+        e = geometry[k].edges.shape[0]
         f = mesh.n_triangles
         assert v - e + f == 2
 
@@ -65,10 +70,10 @@ def test_areas_cover_sphere(meshes):
         assert abs(total - 4.0 * np.pi) < 1e-12
 
 
-def test_vertices_and_splits_unit_norm(meshes):
-    for mesh in meshes.values():
+def test_vertices_and_splits_unit_norm(meshes, geometry):
+    for k, mesh in meshes.items():
         assert np.max(np.abs(np.linalg.norm(mesh.vertices, axis=1) - 1.0)) < 1e-14
-        norms = np.linalg.norm(mesh.splits, axis=2)
+        norms = np.linalg.norm(geometry[k].splits, axis=2)
         assert np.max(np.abs(norms - 1.0)) < 1e-14
 
 
@@ -87,14 +92,14 @@ def test_adjacency_is_mutual(meshes):
             assert t in mesh.adjacency[n]
 
 
-def test_split_points_shared_bitwise(meshes):
+def test_split_points_shared_bitwise(meshes, geometry):
     # the two triangles flanking an edge must carry the same split point
-    for mesh in (meshes[1], meshes[3]):
+    for mesh, geo in ((meshes[1], geometry[1]), (meshes[3], geometry[3])):
         seen = {}
         for t in range(mesh.n_triangles):
             for e in range(3):
-                key = mesh.tri_edges[t, e]
-                pt = mesh.splits[t, e]
+                key = geo.tri_edges[t, e]
+                pt = geo.splits[t, e]
                 if key in seen:
                     assert np.array_equal(seen[key], pt)
                 else:
@@ -113,9 +118,9 @@ def test_refinement_bounds():
         build_icosahedral(-1)
 
 
-def test_locate_totality_and_residual(meshes):
+def test_locate_totality_and_residual(meshes, geometry):
     for k in (0, 1, 3):
-        mesh = meshes[k]
+        mesh, geo = meshes[k], geometry[k]
         pts = random_units(20000, 10 + k)
         tri, sub, bary = locate_batch(mesh, pts)
         assert np.all(tri >= 0) and np.all(tri < mesh.n_triangles)
@@ -123,7 +128,7 @@ def test_locate_totality_and_residual(meshes):
         assert np.min(bary) > -1e-9
         # spherical barycentric residual: sum_i b_i v_i == p
         ent = np.concatenate(
-            [mesh.vertices[mesh.triangles][tri], mesh.splits[tri], mesh.centers[tri][:, None, :]],
+            [mesh.vertices[mesh.triangles][tri], geo.splits[tri], geo.centers[tri][:, None, :]],
             axis=1,
         )
         corners = ent[np.arange(len(tri))[:, None], SUB_VERTS[sub]]
@@ -194,12 +199,12 @@ def test_warm_start_matches_cold(meshes, k):
 
 
 @pytest.mark.parametrize("k", [0, 1, 3])
-def test_warm_start_on_boundaries(meshes, k):
-    mesh = meshes[k]
+def test_warm_start_on_boundaries(meshes, geometry, k):
+    mesh, geo = meshes[k], geometry[k]
     # edge midpoints, started from both flanking triangles
-    mids = radial_project(mesh.vertices[mesh.edges].sum(axis=1))
+    mids = radial_project(mesh.vertices[geo.edges].sum(axis=1))
     cold = locate_batch(mesh, mids)
-    flanks = _edge_slots(mesh.tri_edges) // 3
+    flanks = geo.slots // 3
     for side in range(2):
         assert_same_location(locate_batch(mesh, mids, start=start_in(flanks[:, side])), cold)
     assert np.array_equal(cold[0], flanks.min(axis=1))
@@ -221,12 +226,12 @@ def lowest_containing_oracle(mesh, p):
 
 
 @pytest.mark.parametrize("k", [0, 1, 3])
-def test_locate_near_boundaries_is_lowest_containing(meshes, k):
+def test_locate_near_boundaries_is_lowest_containing(meshes, geometry, k):
     # points a hair off every vertex and every edge midpoint, where a walk
     # that stops at the first containing triangle depends on its start
     mesh = meshes[k]
     rng = np.random.default_rng(50 + k)
-    mids = radial_project(mesh.vertices[mesh.edges].sum(axis=1))
+    mids = radial_project(mesh.vertices[geometry[k].edges].sum(axis=1))
     base = np.concatenate([mesh.vertices, mids])
     pts = np.concatenate(
         [
@@ -239,10 +244,14 @@ def test_locate_near_boundaries_is_lowest_containing(meshes, k):
     assert_same_location(locate_batch(mesh, pts, start=locate_batch(mesh, -pts)), cold)
 
 
-def test_edge_arc_lengths_positive(meshes):
-    lens = edge_arc_lengths(meshes[2])
-    assert np.all(lens > 0.0)
-    assert abs(np.max(lens) - h_max(meshes[2])) == 0.0
+def test_edge_arc_lengths_positive(meshes, geometry):
+    # h_max reads triangle sides; each edge is a side of two triangles, so
+    # the longest side is the longest edge, bit for bit
+    for k, mesh in meshes.items():
+        edges = geometry[k].edges
+        lens = great_circle_distance(mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]])
+        assert np.all(lens > 0.0)
+        assert abs(np.max(lens) - h_max(mesh)) == 0.0
 
 
 def test_save_mesh(tmp_path, meshes):

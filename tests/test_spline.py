@@ -7,9 +7,9 @@ from conftest import (
     evaluate,
     interpolate,
     reference_coefficients,
+    sample_sphere,
 )
 
-from cmsphere.diagnostics import sample_sphere
 from cmsphere.mesh import SUB_COEF, build_icosahedral, locate_batch
 from cmsphere.spline import MacroSpline, build_coefficients
 
