@@ -108,6 +108,13 @@ def _output_path(s):
     return s
 
 
+def _image_path(s):
+    """An image file to write: .pgm for a graymap, .ppm for a colour pixmap."""
+    if not s.endswith((".pgm", ".ppm")):
+        raise ValueError("must end in .pgm or .ppm, got %r" % s)
+    return _output_path(s)
+
+
 def _output_dir(s):
     """A directory to write into: an existing one, or a new one below a writable one."""
     if not s:
@@ -198,7 +205,6 @@ def _config(ns, t_final, k=None, remap_stride=None):
             n_steps=ns.n_steps if ns.n_steps is not None else 2**k + 10,
             t_final=t_final,
             remap_stride=ns.remap_stride if remap_stride is None else remap_stride,
-            epsilon=ns.epsilon,
             verbose=ns.verbose,
         )
     except ValueError as e:
@@ -249,16 +255,16 @@ def _viridis_lut():
 _LUT = _viridis_lut()
 
 
-def _write_image(path, values, gray):
-    """Binary portable graymap (gray) or viridis pixmap of a 2-D array,
-    spanning the values' range."""
+def _write_image(path, values):
+    """Binary portable graymap (.pgm path) or viridis pixmap (.ppm path) of
+    a 2-D array, spanning the values' range."""
     vmin = float(np.min(values))
     vmax = float(np.max(values))
     img = np.zeros(values.shape, dtype=np.uint8)
     if not vmax - vmin < 1e-300:
         img = np.round(255.0 * (values - vmin) / (vmax - vmin)).astype(np.uint8)
     magic = b"P5"
-    if not gray:
+    if path.endswith(".ppm"):
         img, magic = _LUT[img], b"P6"
     with open(path, "wb") as f:
         f.write(b"%s\n%d %d\n255\n" % (magic, img.shape[1], img.shape[0]))
@@ -368,7 +374,7 @@ def cmd_render(ns):
         pts = _equirect_grid(ns.resolution)
     shape = pts.shape[:2]
     values = pullback_tracer(chain, phi0, pts.reshape(-1, 3)).reshape(shape)
-    _write_image(ns.out, values, ns.gray)
+    _write_image(ns.out, values)
     print("wrote %s (%dx%d)" % (ns.out, shape[1], shape[0]))
     if ns.csv:
         rows = ((i, j, values[i, j]) for i, j in np.ndindex(shape))
@@ -433,7 +439,6 @@ _RUNNISH = {
     "n_steps": (_integer(), None),
     "remap_stride": (_integer(), 0),
     "tracer": (_choice(TRACERS), None),
-    "epsilon": (_real(), 1e-5),
     "seed": (_integer(0), 0),
     "samples": (_integer(1), 1_000_000),
     "mass_cells": (_integer(8), 64),
@@ -471,9 +476,8 @@ _COMMANDS = {
         center_lam=(_real(), None),
         center_theta=(_real(), None),
         width=(_real(above=1e-6), None),
-        out=(_output_path, "render.ppm"),
+        out=(_image_path, "render.ppm"),
         csv=(_output_path, None),
-        gray=(_as_bool, False),
     )),
     "mixing": (cmd_mixing, dict(
         _without("test", "tracer", "samples", "seed", "mass_cells"),

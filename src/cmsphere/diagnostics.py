@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .geom import radial_project
+from .geom import area_form, radial_project
 from .mesh import triangle_areas
 from .tracers import get_tracer
 
@@ -158,9 +158,7 @@ def mass_integral(chain, n_cells=64):
     total = 0.0
     for i in range(0, pts.shape[0], _CHUNK):
         sl_ = slice(i, i + _CHUNK)
-        y, t = chain.jet(pts[sl_], tang[sl_])
-        integrand = np.einsum("ij,ij->i", y, np.cross(t[:, 0], t[:, 1]))
-        total += float(np.dot(W[sl_], integrand))
+        total += float(np.dot(W[sl_], area_form(*chain.jet(pts[sl_], tang[sl_]))))
     return total / (4.0 * np.pi)
 
 

@@ -17,7 +17,7 @@ from .errors import NonFiniteState
 from .geom import radial_project
 from .mapping import MapChain, SphereMap
 from .mesh import build_icosahedral, locate_batch
-from .stencil import build_stencils, reconstruct_hermite
+from .stencil import EPSILON, build_stencils, reconstruct_hermite
 
 
 @dataclass(frozen=True)
@@ -25,15 +25,14 @@ class CMConfig:
     """Run parameters for the map evolution.
 
     remap_stride = 0 disables remapping; otherwise the chain gains a submap
-    every remap_stride steps. epsilon is the stencil half-width. Values a
-    run cannot use raise ValueError on construction.
+    every remap_stride steps. Values a run cannot use raise ValueError on
+    construction.
     """
 
     level: int
     n_steps: int
     t_final: float
     remap_stride: int = 0
-    epsilon: float = 1e-5
     verbose: bool = False
 
     def __post_init__(self):
@@ -43,8 +42,6 @@ class CMConfig:
             raise ValueError("t_final must be positive")
         if not 0 <= self.remap_stride <= self.n_steps:
             raise ValueError("remap_stride must lie in [0, n_steps]")
-        if not 0.0 < self.epsilon <= 1e-3:
-            raise ValueError("epsilon must lie in (0, 1e-3]")
 
 
 def rk4_backstep(u, points, t, dt):
@@ -91,7 +88,7 @@ def run(u, config, mesh=None):
     elif mesh.level != config.level:
         raise ValueError("config is at refinement %d, mesh is %d" % (config.level, mesh.level))
 
-    probes = build_stencils(mesh, config.epsilon).reshape(-1, 3)
+    probes = build_stencils(mesh, EPSILON).reshape(-1, 3)
     nv = mesh.n_vertices
     dt = config.t_final / config.n_steps
 
@@ -109,9 +106,7 @@ def run(u, config, mesh=None):
         else:
             loc = locate_batch(mesh, foot, start=loc)
             samples = current.eval(foot, loc=loc)
-        values, d1, d2 = reconstruct_hermite(
-            samples.reshape(nv, 4, 3), config.epsilon
-        )
+        values, d1, d2 = reconstruct_hermite(samples.reshape(nv, 4, 3), EPSILON)
         # NaN and infinite values fail the norm band as well
         if not (
             np.all(np.abs(np.linalg.norm(values, axis=1) - 1.0) <= 0.5)
@@ -142,9 +137,3 @@ def pullback_tracer(chain, tracer, points):
     """Transported tracer values: the initial field along the backward map."""
     return tracer(chain.eval(points))
 
-
-def pullback_density(chain, density, points):
-    """Transported density: initial field at the footpoints times the
-    backward Jacobian determinant."""
-    x, jac = chain.eval_with_jacobian(points)
-    return density(x) * jac

@@ -52,6 +52,11 @@ def project_differential(xi, w):
     return (w - np.sum(u * w, axis=-1, keepdims=True) * u) / n
 
 
+def area_form(x, t):
+    """Area form x . (t0 x t1) of tangent pairs t (n, 2, 3) at points x (n, 3)."""
+    return np.einsum("ij,ij->i", x, np.cross(t[:, 0], t[:, 1]))
+
+
 def great_circle_distance(p, q):
     """Arc length between unit vectors, stable for small and large angles."""
     c = np.cross(p, q)

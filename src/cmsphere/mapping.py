@@ -7,9 +7,9 @@ carries the chain rule for tangent vectors and Jacobian determinants
 through the projection.
 
 Jacobian determinants are taken in the deterministic vertex frames of
-geom.vertex_frames; since g1 x g2 equals the base point everywhere, each is
-the area form out . (pa x pb) of the pushed frames, and they compose
-multiplicatively along a chain.
+geom.vertex_frames; since g1 x g2 equals the base point everywhere, the
+chain's determinant is the area form of the input points' frames pushed
+through the whole chain by the same walk that carries tangents.
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ZeroVector
-from .geom import project_differential, vertex_frames
+from .geom import area_form, project_differential, vertex_frames
 from .mesh import MAX_LEVEL, build_icosahedral, locate_batch
 from .spline import MacroSpline, build_coefficients
 
@@ -84,23 +84,16 @@ class MapChain:
     def n_submaps(self):
         return len(self.maps)
 
-    def _walk(self, p, tangents=None, jacobian=False):
+    def _walk(self, p, tangents=None):
         """Push points, and tangents (n, q, 3) if given, through the submaps
-        newest first. With jacobian, the tangents are each step's vertex
-        frames and their area forms multiply into dets."""
+        newest first."""
         out = np.asarray(p, dtype=float)
-        dets = np.ones(out.shape[0])
         for m in reversed(self.maps):
-            if jacobian:
-                tangents = np.stack(vertex_frames(out), axis=1)
             if tangents is None:
                 out = m.eval(out)
-                continue
-            out, tangents = m.eval(out, tangents)
-            if jacobian:
-                area = np.cross(tangents[:, 0], tangents[:, 1])
-                dets = dets * np.einsum("ij,ij->i", out, area)
-        return out, tangents, dets
+            else:
+                out, tangents = m.eval(out, tangents)
+        return out, tangents
 
     def eval(self, p):
         """Footpoints (n, 3) of unit points p (n, 3)."""
@@ -108,9 +101,12 @@ class MapChain:
 
     def eval_with_jacobian(self, p):
         """Mapped points (n, 3) of unit points p (n, 3) and the chained
-        Jacobian determinants (n,)."""
-        out, _, dets = self._walk(p, jacobian=True)
-        return out, dets
+        Jacobian determinants (n,); an empty chain gives exact ones."""
+        p = np.asarray(p, dtype=float)
+        if not self.maps:
+            return p, np.ones(p.shape[0])
+        out, t = self._walk(p, np.stack(vertex_frames(p), axis=1))
+        return out, area_form(out, t)
 
     def jet(self, p, tangents):
         """Push points and per-point tangent bundles through the chain.
@@ -118,8 +114,7 @@ class MapChain:
         p : (n, 3); tangents : (n, q, 3). Returns (points, tangents) of the
         same shapes. An empty chain returns the inputs unchanged.
         """
-        out, tang, _ = self._walk(p, np.asarray(tangents, dtype=float))
-        return out, tang
+        return self._walk(p, np.asarray(tangents, dtype=float))
 
 
 def save_chain(chain, path):

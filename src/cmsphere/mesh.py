@@ -357,13 +357,13 @@ def _sub_bary(mesh, tri, sub, p):
 def _walk(mesh, p, cur):
     """Walk each point from triangle cur (updated in place) to one that
     contains it, crossing the edge with the most negative barycentric
-    coordinate. Returns the points' macro barycentrics in the final
-    triangles."""
+    coordinate. A crossed edge's barycentric changes sign in the next
+    triangle, so the walk never steps straight back. Returns the points'
+    macro barycentrics in the final triangles."""
     bary = _macro_bary(mesh, cur, p)
     out = bary.min(axis=1) < -_BARY_TOL
     moving = np.flatnonzero(out)
     bm = bary[out]
-    prev = np.full(p.shape[0], -1, dtype=np.int64)
     max_steps = 4 * mesh.n_triangles
     steps = 0
     while moving.size:
@@ -371,13 +371,6 @@ def _walk(mesh, p, cur):
         if steps > max_steps:
             raise LocationFailure("point location walk exceeded %d steps" % max_steps)
         nxt = mesh.adjacency[cur[moving], (bm.argmin(axis=1) + 1) % 3]
-        # Avoid bouncing straight back; take the second-worst edge instead.
-        bounce = np.flatnonzero(nxt == prev[moving])
-        second = np.argsort(bm[bounce], axis=1)[:, 1]
-        use2 = bm[bounce, second] < -_BARY_TOL
-        bounce, second = bounce[use2], second[use2]
-        nxt[bounce] = mesh.adjacency[cur[moving[bounce]], (second + 1) % 3]
-        prev[moving] = cur[moving]
         cur[moving] = nxt
         b = _macro_bary(mesh, nxt, p[moving])
         bary[moving] = b

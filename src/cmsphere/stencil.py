@@ -10,6 +10,10 @@ import numpy as np
 
 from .geom import radial_project
 
+# Stencil half-width: its O(eps^2) truncation (~1e-10) and the rounding its
+# 1/eps differences amplify (~1e-11) stay below the spline error at any level.
+EPSILON = 1e-5
+
 # Corner offsets in frame coordinates, units of eps. Order matters: the
 # reconstruction below indexes samples by this layout.
 OFFSETS = ((-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0), (1.0, 1.0))
@@ -17,8 +21,7 @@ OFFSETS = ((-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0), (1.0, 1.0))
 
 def build_stencils(mesh, epsilon):
     """Four projected tangent-frame corner points per mesh vertex, shape
-    (n_vertices, 4, 3) in OFFSETS order; epsilon lies in (0, 1e-3], as
-    CMConfig enforces."""
+    (n_vertices, 4, 3) in OFFSETS order; runs use EPSILON."""
     off = epsilon * np.array(OFFSETS)
     return radial_project(
         mesh.vertices[:, None]

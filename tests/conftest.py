@@ -25,6 +25,13 @@ def edge_geometry(mesh):
                            centers=centers, splits=splits)
 
 
+def pullback_density(chain, density, points):
+    """Transported density: initial field at the footpoints times the
+    backward Jacobian determinant."""
+    x, jac = chain.eval_with_jacobian(points)
+    return density(x) * jac
+
+
 def vortex_solution(flow, p, t):
     """Closed-form tracer of static_vortex or moving_vortex at (p, t).
 

@@ -65,7 +65,6 @@ def test_usage_errors(capsys):
         ["remap-study", "--k", "1", "--n-steps", "2", "--strides", "0", "--samples", "-1"],
         ["render", "--k", "1", "--n-steps", "2", "--resolution", "0"],
         ["run", "--k", "1", "--n-steps", "0"],
-        ["run", "--k", "1", "--epsilon", "0.1"],
         ["run", "--k", "1", "--remap-stride", "1000"],
         ["run", "--k", "1", "--test", "moving_vortex", "--T", "-1"],
         ["run", "--k", "1", "--test", "deformational", "--T", "0"],
@@ -103,6 +102,7 @@ def test_nonpositive_counts_exit_2(argv, capsys, tmp_path, monkeypatch):
         (["run", "--config", "exp.ini", "--csv", "x.csv"], "mass_cells", None),
         (["run", "--test", "deformational", "--t", "0.3", "--csv", "x.csv"], "csv", None),
         (["run", "--csv", "x.csv"], "CMM_THREADS", "abc"),
+        (["render", "--out", "r.png"], "out", None),
     ],
 )
 def test_bad_values_exit_2_before_evolving(argv, option, env, capsys, tmp_path, monkeypatch):
@@ -167,6 +167,31 @@ def test_config_resolution(capsys, tmp_path):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "ini, code, message",
+    [
+        ("k = 1\nallow_deep = maybe\n", 2,
+         "error: config [mesh]: allow_deep must be a boolean"),
+        ("k = 7\nallow_deep = no\n", 2, "exceeds the desk-scale cap of 6"),
+        ("k = 1\nallow_deep = yes\n", 0, ""),
+    ],
+)
+def test_ini_booleans(ini, code, message, capsys, tmp_path, monkeypatch):
+    cfg = tmp_path / "mesh.ini"
+    cfg.write_text("[mesh]\n" + ini)
+    built = []
+    real_build = cli.build_icosahedral
+
+    def build(level):
+        built.append(level)
+        return real_build(level)
+
+    monkeypatch.setattr(cli, "build_icosahedral", build)
+    assert cli.main(["mesh", "--config", str(cfg)]) == code
+    assert message in capsys.readouterr().err
+    assert built == ([1] if code == 0 else [])
+
+
 def test_converge_reports_slopes(capsys, tmp_path):
     csv_path = tmp_path / "conv.csv"
     code = cli.main(
@@ -192,7 +217,7 @@ def test_render_equirect_matches_direct_sampling(capsys, tmp_path):
     code = cli.main(
         [
             "render", "--test", "solid_body", "--k", "2", "--t", "0",
-            "--resolution", "16", "--gray",
+            "--resolution", "16",
             "--out", str(img), "--csv", str(csv_path),
         ]
     )

@@ -3,11 +3,11 @@ import time
 
 import numpy as np
 import pytest
-from conftest import sample_sphere
+from conftest import pullback_density, sample_sphere
 
 from cmsphere import evolve
 from cmsphere.errors import NonFiniteState
-from cmsphere.evolve import CMConfig, pullback_density, pullback_tracer, rk4_backstep, run
+from cmsphere.evolve import CMConfig, pullback_tracer, rk4_backstep, run
 from cmsphere.fields import deformational, moving_vortex, solid_body
 from cmsphere.geom import rotation_matrix
 from cmsphere.mesh import build_icosahedral

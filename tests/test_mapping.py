@@ -4,7 +4,7 @@ from conftest import sample_sphere
 
 from cmsphere import mapping
 from cmsphere.errors import ZeroVector
-from cmsphere.geom import rotation_matrix, vertex_frames
+from cmsphere.geom import area_form, rotation_matrix, vertex_frames
 from cmsphere.mapping import MapChain, SphereMap, load_chain, save_chain
 from cmsphere.mesh import build_icosahedral
 from cmsphere.spline import MacroSpline
@@ -89,7 +89,7 @@ def test_jet_matches_differential_composition(mesh, points):
 
 def test_entry_points_share_one_walk(mesh, points):
     # points agree bit for bit across eval, eval_with_jacobian and jet, and
-    # the chained determinant is that of the frames pushed through jet
+    # the chained determinant is the area form of the frames pushed through jet
     r1 = rotation_matrix(np.array([0.0, 1.0, 0.0]), 0.4)
     r2 = rotation_matrix(np.array([1.0, 0.0, 0.0]), -0.9)
     chain = MapChain(mesh=mesh, maps=[linear_map(mesh, r1), linear_map(mesh, r2)])
@@ -97,6 +97,7 @@ def test_entry_points_share_one_walk(mesh, points):
     x, dets = chain.eval_with_jacobian(points)
     assert np.array_equal(chain.eval(points), out)
     assert np.array_equal(x, out)
+    assert np.array_equal(dets, area_form(out, pushed))
     oa, ob = vertex_frames(out)
     m = np.einsum("nqj,nrj->nqr", pushed, np.stack([oa, ob], axis=1))
     assert np.abs(dets - np.linalg.det(m)).max() < 1e-13

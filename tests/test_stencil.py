@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from cmsphere.evolve import CMConfig
 from cmsphere.mesh import build_icosahedral
 from cmsphere.stencil import OFFSETS, build_stencils, reconstruct_hermite
 
@@ -60,13 +59,6 @@ def test_reconstruct_second_order_in_epsilon(mesh):
         )
     for coarse, fine in zip(*errs):
         assert 3.5 < coarse / fine < 4.5
-
-
-def test_epsilon_bounds():
-    # the stencil half-width is checked where it enters, in the run config
-    for eps in (0.0, -1e-5, 2e-3):
-        with pytest.raises(ValueError):
-            CMConfig(level=1, n_steps=1, t_final=1.0, epsilon=eps)
 
 
 def test_vector_samples_keep_component_axis():
