@@ -212,9 +212,9 @@ def _config(ns, t_final, k=None, remap_stride=None):
 
 
 def _evolve(flow, cfg):
-    t0 = time.time()
+    t0 = time.perf_counter()
     chain = evolve_run(flow, cfg)
-    return chain, time.time() - t0
+    return chain, time.perf_counter() - t0
 
 
 def _report(flow, chain, cfg, ns, wall):
@@ -294,9 +294,9 @@ def _window_grid(center_lam, center_theta, width, res):
 
 
 def cmd_mesh(ns):
-    t0 = time.time()
+    t0 = time.perf_counter()
     mesh = build_icosahedral(ns.k)
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     print(
         "k=%d vertices=%d triangles=%d h=%.5f build=%.2fs"
         % (ns.k, mesh.n_vertices, mesh.n_triangles, h_max(mesh), dt)

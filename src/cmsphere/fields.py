@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .geom import cart_to_sph, rotation_matrix, rotate_about_axis, sph_to_cart
+from .geom import _cross3, cart_to_sph, rotation_matrix, rotate_about_axis, sph_to_cart
 from .tracers import cosine_bells
 
 _Z = np.array([0.0, 0.0, 1.0])
@@ -75,7 +75,7 @@ def _framed_velocity(omega, frame, local):
         p = np.asarray(p, dtype=float)
         m = frame.matrix(t)
         q = p @ m
-        return np.cross(omega, p) + local(q, t) @ m.T
+        return _cross3(omega, p) + local(q, t) @ m.T
 
     return velocity
 
@@ -87,7 +87,7 @@ def solid_body(alpha=0.0, T=1.0):
     omega = rate * axis
 
     def velocity(p, t):
-        return np.cross(omega, np.asarray(p, dtype=float))
+        return _cross3(omega, np.asarray(p, dtype=float))
 
     def exact_map(p, t):
         return rotate_about_axis(p, axis, -rate * t)

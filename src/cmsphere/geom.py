@@ -16,6 +16,35 @@ _E1 = np.array([1.0, 0.0, 0.0])
 _E3 = np.array([0.0, 0.0, 1.0])
 
 
+# Column forms of row operations over a last axis of length 3. numpy pays
+# a per-row overhead for three elements; these combine the columns in the
+# order it does, so they are bit-identical to min(axis=-1),
+# np.linalg.norm(axis=-1), np.sum(p * q, axis=-1) and np.cross, NaN
+# included, and broadcast the same way.
+
+
+def _min3(x):
+    return np.minimum(np.minimum(x[..., 0], x[..., 1]), x[..., 2])
+
+
+def _norm3(x):
+    return np.sqrt(x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1] + x[..., 2] * x[..., 2])
+
+
+def _dot3(p, q):
+    return p[..., 0] * q[..., 0] + p[..., 1] * q[..., 1] + p[..., 2] * q[..., 2]
+
+
+def _cross3(p, q):
+    out = np.empty(np.broadcast(p, q).shape)
+    p0, p1, p2 = p[..., 0], p[..., 1], p[..., 2]
+    q0, q1, q2 = q[..., 0], q[..., 1], q[..., 2]
+    out[..., 0] = p1 * q2 - p2 * q1
+    out[..., 1] = p2 * q0 - p0 * q2
+    out[..., 2] = p0 * q1 - p1 * q0
+    return out
+
+
 def radial_project(v):
     """Send a nonzero vector to the unit sphere along its ray.
 
@@ -33,7 +62,7 @@ def radial_project(v):
     ZeroVector
         If any row has norm below 1e-300.
     """
-    n = np.linalg.norm(v, axis=-1, keepdims=True)
+    n = _norm3(v)[..., None]
     if np.any(n < 1e-300):
         raise ZeroVector("cannot radially project a (near-)zero vector")
     return v / n
@@ -45,24 +74,21 @@ def project_differential(xi, w):
     Computes d/ds[(xi + s w)/|xi + s w|] at s = 0. xi need not be unit
     length; the result is tangent to the sphere at xi/|xi|.
     """
-    n = np.linalg.norm(xi, axis=-1, keepdims=True)
+    n = _norm3(xi)[..., None]
     if np.any(n < 1e-300):
         raise ZeroVector("projection differential undefined at the origin")
     u = xi / n
-    return (w - np.sum(u * w, axis=-1, keepdims=True) * u) / n
+    return (w - _dot3(u, w)[..., None] * u) / n
 
 
 def area_form(x, t):
     """Area form x . (t0 x t1) of tangent pairs t (n, 2, 3) at points x (n, 3)."""
-    return np.einsum("ij,ij->i", x, np.cross(t[:, 0], t[:, 1]))
+    return np.einsum("ij,ij->i", x, _cross3(t[:, 0], t[:, 1]))
 
 
 def great_circle_distance(p, q):
     """Arc length between unit vectors, stable for small and large angles."""
-    c = np.cross(p, q)
-    s = np.linalg.norm(c, axis=-1)
-    d = np.sum(p * q, axis=-1)
-    return np.arctan2(s, d)
+    return np.arctan2(_norm3(_cross3(p, q)), _dot3(p, q))
 
 
 def sph_to_cart(lam, theta):
@@ -118,8 +144,8 @@ def vertex_frames(base):
     base = np.asarray(base, dtype=float)
     near_pole = np.abs(base[..., 2]) > POLE_TOL
     ref = np.where(near_pole[..., None], _E1, _E3)
-    raw = ref - np.sum(ref * base, axis=-1, keepdims=True) * base
-    g1 = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
-    g2 = np.cross(base, g1)
+    raw = ref - _dot3(ref, base)[..., None] * base
+    g1 = raw / _norm3(raw)[..., None]
+    g2 = _cross3(base, g1)
     return g1, g2
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ZeroVector
-from .geom import area_form, project_differential, vertex_frames
+from .geom import _norm3, area_form, project_differential, vertex_frames
 from .mesh import MAX_LEVEL, build_icosahedral, locate_batch
 from .spline import MacroSpline, build_coefficients
 
@@ -56,7 +56,7 @@ class SphereMap:
         """
         tri, sub, bary = locate_batch(self.spline.mesh, p) if loc is None else loc
         raw = self.spline.eval_located(tri, sub, bary)
-        n = np.linalg.norm(raw, axis=-1, keepdims=True)
+        n = _norm3(raw)[:, None]
         if np.any(n < MIN_PRE_NORM):
             raise ZeroVector("map value collapsed toward the origin")
         out = raw / n

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTriangle, LocationFailure, RefinementTooDeep
-from .geom import cart_to_sph, great_circle_distance, radial_project, vertex_frames
+from .geom import (_cross3, _dot3, _min3, _norm3, cart_to_sph, great_circle_distance,
+                   radial_project, vertex_frames)
 
 MAX_LEVEL = 8
 
@@ -179,23 +180,21 @@ def _edge_split_points(verts, edges, edge_tris_pair, centers):
     b = verts[edges[:, 1]]
     c1 = centers[edge_tris_pair[:, 0]]
     c2 = centers[edge_tris_pair[:, 1]]
-    line = np.cross(np.cross(c1, c2), np.cross(a, b))
-    sign = np.sum(line * (a + b), axis=-1)
-    if np.any(np.abs(sign) < 1e-14) or np.any(
-        np.linalg.norm(line, axis=-1) < 1e-14
-    ):
+    line = _cross3(_cross3(c1, c2), _cross3(a, b))
+    sign = _dot3(line, a + b)
+    if np.any(np.abs(sign) < 1e-14) or np.any(_norm3(line) < 1e-14):
         raise DegenerateTriangle("edge and barycenter great circles coincide")
     return radial_project(np.sign(sign)[:, None] * line)
 
 
 def _edge_weights(splits, a, b):
     """Weights (r, s) with split = r a + s b for unit a, b on one great circle."""
-    d = np.sum(a * b, axis=-1)
+    d = _dot3(a, b)
     den = 1.0 - d * d
     if np.any(den < 1e-12):
         raise DegenerateTriangle("edge endpoints are (anti)parallel")
-    pa = np.sum(splits * a, axis=-1)
-    pb = np.sum(splits * b, axis=-1)
+    pa = _dot3(splits, a)
+    pb = _dot3(splits, b)
     r = (pa - d * pb) / den
     s = (pb - d * pa) / den
     return r, s
@@ -217,12 +216,12 @@ def _ring_constants(entities, g1, g2):
     components of the unit tangent toward the target, (3, 3, n_triangles)."""
     base = entities[:, :3, None, :]
     e = np.take(entities, RING_TARGETS, axis=1)
-    cosw = np.sum(base * e, axis=-1)
+    cosw = _dot3(base, e)
     e -= cosw[..., None] * base
-    sinw = np.linalg.norm(e, axis=-1)
+    sinw = _norm3(e)
     e /= sinw[..., None]
-    eg1 = np.sum(e * g1[:, :, None, :], axis=-1)
-    eg2 = np.sum(e * g2[:, :, None, :], axis=-1)
+    eg1 = _dot3(e, g1[:, :, None, :])
+    eg2 = _dot3(e, g2[:, :, None, :])
     return [np.ascontiguousarray(x.transpose(1, 2, 0)) for x in (cosw, 0.5 * sinw, eg1, eg2)]
 
 
@@ -303,7 +302,7 @@ def build_icosahedral(level):
         raise DegenerateTriangle("sub-triangle vertices are nearly coplanar")
     sub_inv = np.linalg.inv(sub_mats)
 
-    spoke_normals = np.cross(centers[:, None, :], entities[:, SPOKES, :])
+    spoke_normals = _cross3(centers[:, None, :], entities[:, SPOKES, :])
     center_bary = np.ascontiguousarray(np.einsum("tij,tj->ti", macro_inv, centers).T)
 
     cells = int(min(256, max(8, 2 ** (level + 2))))
@@ -361,7 +360,7 @@ def _walk(mesh, p, cur):
     triangle, so the walk never steps straight back. Returns the points'
     macro barycentrics in the final triangles."""
     bary = _macro_bary(mesh, cur, p)
-    out = bary.min(axis=1) < -_BARY_TOL
+    out = _min3(bary) < -_BARY_TOL
     moving = np.flatnonzero(out)
     bm = bary[out]
     max_steps = 4 * mesh.n_triangles
@@ -374,7 +373,7 @@ def _walk(mesh, p, cur):
         cur[moving] = nxt
         b = _macro_bary(mesh, nxt, p[moving])
         bary[moving] = b
-        out = b.min(axis=1) < -_BARY_TOL
+        out = _min3(b) < -_BARY_TOL
         moving = moving[out]
         bm = b[out]
     return bary
@@ -389,13 +388,15 @@ def _lowest_containing(mesh, p, cur, b):
     so it is incident to the corner of cur with the largest barycentric;
     cur is among those candidates and always counts as containing.
     """
-    rows = np.flatnonzero(b.min(axis=1) <= _KEEP_MARGIN)
+    rows = np.flatnonzero(_min3(b) <= _KEEP_MARGIN)
+    if not rows.size:
+        return
     cand = mesh.vertex_tris[mesh.triangles[cur[rows], b[rows].argmax(axis=1)]]
     inside = cand == cur[rows, None]
     q = p[rows]
     # One candidate column at a time keeps the gathered inverses at (r, 3, 3).
     for c in range(6):
-        inside[:, c] |= _macro_bary(mesh, cand[:, c], q).min(axis=1) >= -_BARY_TOL
+        inside[:, c] |= _min3(_macro_bary(mesh, cand[:, c], q)) >= -_BARY_TOL
     cur[rows] = cand[np.arange(rows.size), inside.argmax(axis=1)]
 
 
@@ -419,17 +420,20 @@ def locate_batch(mesh, p, start=None):
     triangles of its nearest corner, so it does not depend on the start.
 
     Without start, walks begin at a lat-long grid of triangles. With
-    start, the previous location of the same points, a point whose
-    barycentrics in its previous sub-triangle all exceed 1e-10 keeps it and
-    the others walk from their previous triangle; the result is exactly
-    that of a call without start.
+    start, a point whose barycentrics in its start sub-triangle all exceed
+    1e-10 keeps it and the others walk from their start triangle; the
+    result is exactly that of a call without start, so any start is
+    correct and a nearby one is fast: the points' previous location, or a
+    neighbouring point's fresh one.
 
     Parameters
     ----------
     mesh : SphereMesh
     p : array, shape (n, 3)
-    start : (tri, sub, bary) tuple, optional
-        A previous result of locate_batch for n points.
+    start : tuple, optional
+        Per-point start triangles and sub-triangles, (tri, sub) int arrays
+        of shape (n,); a previous result (tri, sub, bary) works too, and
+        its bary is never read.
 
     Returns
     -------
@@ -448,7 +452,7 @@ def locate_batch(mesh, p, start=None):
         return _locate_from(mesh, p, _grid_seed(mesh, p))
     tri, sub = start[0].copy(), start[1].copy()
     bary = _sub_bary(mesh, tri, sub, p)
-    moved = np.flatnonzero(bary.min(axis=1) <= _KEEP_MARGIN)
+    moved = np.flatnonzero(_min3(bary) <= _KEEP_MARGIN)
     if moved.size:
         tri[moved], sub[moved], bary[moved] = _locate_from(mesh, p[moved], tri[moved])
     return tri, sub, bary

@@ -40,6 +40,20 @@ def test_run_saves_chain_and_csv(capsys, tmp_path):
     assert lines[1].startswith("solid_body,2,6,0,")
 
 
+def test_timings_ignore_wall_clock_steps(capsys, tmp_path, monkeypatch):
+    # a wall-clock step during a run (NTP, suspend) must not reach the
+    # reported times: they come from a monotonic clock
+    clock = iter(range(0, 10**12, 10**6))
+    monkeypatch.setattr(cli.time, "time", lambda: float(next(clock)))
+    assert cli.main(["mesh", "--k", "1"]) == 0
+    build = float(re.search(r"build=([0-9.]+)s", capsys.readouterr().out).group(1))
+    csv_path = tmp_path / "err.csv"
+    argv = ["run", "--k", "1", "--n-steps", "2", "--samples", "2000", "--csv", str(csv_path)]
+    assert cli.main(argv) == 0
+    row = dict(zip(CSV_HEADER.split(","), csv_path.read_text().split("\n")[1].split(",")))
+    assert build < 60.0 and float(row["walltime"]) < 60.0
+
+
 def test_usage_errors(capsys):
     cases = [
         ["run", "--test", "tornado"],

@@ -9,8 +9,10 @@ from cmsphere import evolve
 from cmsphere.errors import NonFiniteState
 from cmsphere.evolve import CMConfig, pullback_tracer, rk4_backstep, run
 from cmsphere.fields import deformational, moving_vortex, solid_body
-from cmsphere.geom import rotation_matrix
-from cmsphere.mesh import build_icosahedral
+from cmsphere.geom import radial_project, rotation_matrix, vertex_frames
+from cmsphere.mapping import SphereMap
+from cmsphere.mesh import build_icosahedral, locate_batch
+from cmsphere.stencil import EPSILON, OFFSETS, build_stencils
 
 
 @pytest.fixture(scope="module")
@@ -137,12 +139,66 @@ def test_warm_location_is_bit_identical(flow, cfg, monkeypatch):
     warm = run(flow, cfg, mesh)
     monkeypatch.setattr(evolve, "locate_batch", lambda mesh, p, start=None: locate(mesh, p))
     cold = run(flow, cfg, mesh)
-    # one location per step that has a map to evaluate, all but the first warm
+    # two locations per step that has a map to evaluate, first corners and
+    # then the other three; all are warm but the first corners' first
     windows = -(-cfg.n_steps // cfg.remap_stride) if cfg.remap_stride else 1
-    assert len(starts) == cfg.n_steps - windows and starts.count(False) == 1
+    assert len(starts) == 2 * (cfg.n_steps - windows) and starts.count(False) == 1
     assert warm.n_submaps == cold.n_submaps == windows
     for a, b in zip(warm.maps, cold.maps):
         assert np.array_equal(a.spline.coeffs, b.spline.coeffs)
+
+
+def corner_stencils(anchors, eps):
+    """Stencils whose first corner is exactly each anchor, the other three
+    displaced by eps along the anchor's frame, shape (n, 4, 3)."""
+    g1, g2 = vertex_frames(anchors)
+    off = eps * np.array(OFFSETS)
+    off -= off[0]
+    return radial_project(anchors[:, None] + off[:, :1] * g1[:, None] + off[:, 1:] * g2[:, None])
+
+
+def test_siblings_located_from_first_corner_match_cold(monkeypatch):
+    # every location evolve.run hands the map equals a cold one; and a
+    # vertex's other three footpoints located from its first one's fresh
+    # location are located exactly as a cold call locates them. Stencils
+    # around vertices, and first corners on vertices and edges, put many
+    # siblings outside the first corner's sub-triangle and on ties
+    mesh = build_icosahedral(3)
+    flow = deformational(1.05, 1.0)
+    seen = []
+    sphere_eval = SphereMap.eval
+
+    def spy(self, p, dirs=None, loc=None):
+        seen.append((p, loc))
+        return sphere_eval(self, p, dirs, loc)
+
+    monkeypatch.setattr(SphereMap, "eval", spy)
+    run(flow, CMConfig(level=3, n_steps=3, t_final=0.3), mesh)
+    assert len(seen) == 2
+    for p, loc in seen:
+        for a, b in zip(loc, locate_batch(mesh, p)):
+            assert np.array_equal(a, b)
+
+    vertex_stencils = build_stencils(mesh, EPSILON)
+    stepped = rk4_backstep(flow.velocity, vertex_stencils.reshape(-1, 3), 0.1, 0.1)
+    edges = mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    midpoints = radial_project(mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
+    stencils = np.concatenate([
+        vertex_stencils,
+        stepped.reshape(-1, 4, 3),
+        corner_stencils(mesh.vertices, EPSILON),
+        corner_stencils(midpoints, EPSILON),
+    ])
+    head = locate_batch(mesh, stencils[:, 0])
+    siblings = stencils[:, 1:].transpose(1, 0, 2).reshape(-1, 3)
+    start = (np.tile(head[0], 3), np.tile(head[1], 3))
+    got = locate_batch(mesh, siblings, start=start)
+    want = locate_batch(mesh, siblings)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    # keeping the first corner's sub-triangle unchecked would be wrong here
+    kept = (got[0] == start[0]) & (got[1] == start[1])
+    assert 0.1 < np.mean(~kept) < 0.9
 
 
 def test_nonfinite_velocity_raises():
@@ -151,6 +207,21 @@ def test_nonfinite_velocity_raises():
 
     with pytest.raises(NonFiniteState):
         run(broken, CMConfig(level=1, n_steps=3, t_final=1.0))
+
+
+def test_nan_vertex_values_fail_the_norm_band(monkeypatch):
+    # a NaN in the reconstructed values alone, with finite derivatives,
+    # still stops the run: the norm band propagates it
+    reconstruct = evolve.reconstruct_hermite
+
+    def poisoned(samples, epsilon):
+        values, d1, d2 = reconstruct(samples, epsilon)
+        values[7, 1] = np.nan
+        return values, d1, d2
+
+    monkeypatch.setattr(evolve, "reconstruct_hermite", poisoned)
+    with pytest.raises(NonFiniteState, match="at step 1"):
+        run(solid_body(0.0, 1.0), CMConfig(level=1, n_steps=2, t_final=1.0))
 
 
 def test_stray_map_values_raise_nonfinite():

@@ -5,6 +5,10 @@ import pytest
 
 from cmsphere.errors import ZeroVector
 from cmsphere.geom import (
+    _cross3,
+    _dot3,
+    _min3,
+    _norm3,
     cart_to_sph,
     great_circle_distance,
     project_differential,
@@ -110,3 +114,45 @@ def test_vertex_frames_pole_branch():
     assert np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))
     assert np.max(np.linalg.norm(np.cross(g1, g2) - poles, axis=1)) < 1e-14
 
+
+
+def special_rows():
+    """Rows mixing NaN, infinities, signed zeros, subnormals and extremes."""
+    vals = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1e-160,
+                     1e308, -1.0, 3.0])
+    return vals[np.indices((vals.size,) * 3).reshape(3, -1).T]
+
+
+@pytest.mark.parametrize("n", [40968, 1 << 18])
+def test_row_helpers_match_numpy_on_random_rows(n):
+    rng = np.random.default_rng(n)
+    # magnitudes spread over many binades, so rounding order shows
+    p = rng.standard_normal((n, 3)) * np.exp(rng.uniform(-20.0, 20.0, (n, 3)))
+    q = rng.standard_normal((n, 3))
+    assert np.array_equal(_min3(p), p.min(axis=1))
+    assert np.array_equal(_norm3(p), np.linalg.norm(p, axis=-1))
+    assert np.array_equal(_dot3(p, q), np.sum(p * q, axis=-1))
+    assert np.array_equal(_cross3(p, q), np.cross(p, q))
+    # broadcasting as the call sites use it: one axis vector, tangent bundles
+    assert np.array_equal(_cross3(q[0], p), np.cross(q[0], p))
+    u, w = p[:, None, :], np.stack([q, p], axis=1)
+    assert np.array_equal(_dot3(u, w), np.sum(u * w, axis=-1))
+
+
+def test_row_helpers_match_numpy_on_special_rows():
+    p = special_rows()
+    q = p[::-1].copy()
+    with np.errstate(all="ignore"):
+        pairs = [
+            (_min3(p), p.min(axis=1)),
+            (_norm3(p), np.linalg.norm(p, axis=-1)),
+            (_dot3(p, q), np.sum(p * q, axis=-1)),
+            (_cross3(p, q), np.cross(p, q)),
+        ]
+        norms = _norm3(p)
+    for got, want in pairs:
+        assert np.array_equal(got, want, equal_nan=True)
+    # NaN propagates: every row holding one gives NaN
+    has_nan = np.isnan(p).any(axis=1)
+    assert np.array_equal(np.isnan(_min3(p)), has_nan)
+    assert np.array_equal(np.isnan(norms), has_nan)
