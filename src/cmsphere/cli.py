@@ -21,7 +21,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from .errors import LocationFailure, NonFiniteState, ZeroVector
-from .evolve import CMConfig, pullback_tracer, run as evolve_run
+from .evolve import CMConfig, run as evolve_run
 from .fields import FLOWS, get_flow
 from .geom import radial_project, sph_to_cart, vertex_frames
 from .mapping import MapChain, save_chain
@@ -130,8 +130,11 @@ def _output_dir(s):
 
 def _load_config(path, section, known):
     cp = configparser.ConfigParser()
-    if not cp.read(path):
-        raise UsageError("cannot read config file %r" % path)
+    try:
+        if not cp.read(path, encoding="utf-8"):
+            raise UsageError("cannot read config file %r" % path)
+    except (configparser.Error, UnicodeDecodeError) as e:
+        raise UsageError("config file %r: %s" % (path, " ".join(str(e).split())))
     for sec in cp.sections():
         if sec not in _COMMANDS:
             raise UsageError("config: unknown section [%s]" % sec)
@@ -372,12 +375,11 @@ def cmd_render(ns):
         pts = _window_grid(ns.center_lam, ns.center_theta, ns.width, ns.resolution)
     else:
         pts = _equirect_grid(ns.resolution)
-    shape = pts.shape[:2]
-    values = pullback_tracer(chain, phi0, pts.reshape(-1, 3)).reshape(shape)
+    values = diag.pullback_tracer(chain, phi0, pts)
     _write_image(ns.out, values)
-    print("wrote %s (%dx%d)" % (ns.out, shape[1], shape[0]))
+    print("wrote %s (%dx%d)" % (ns.out, values.shape[1], values.shape[0]))
     if ns.csv:
-        rows = ((i, j, values[i, j]) for i, j in np.ndindex(shape))
+        rows = ((i, j, values[i, j]) for i, j in np.ndindex(values.shape))
         _write_table(ns.csv, "row,col,value", "%d,%d,%.17g", rows)
         print("values saved to %s" % ns.csv)
     return 0
@@ -389,8 +391,8 @@ def cmd_mixing(ns):
     chain, _ = _evolve(flow, _config(ns, t_half))
     q1, q2 = correlated_pair()
     pts = _equirect_grid(ns.resolution, ns.resolution).reshape(-1, 3)
-    foot = chain.eval(pts)
-    a, b = q1(foot), q2(foot)
+    # Both tracers read one chain walk per point.
+    a, b = diag.pullback_tracer(chain, lambda foot: np.stack([q1(foot), q2(foot)], -1), pts).T
     resid = float(np.max(np.abs(b - (-0.8 * a * a + 0.9))))
     _write_table(ns.out, "q1,q2", "%.17g,%.17g", zip(a, b))
     print("wrote %s (%d points), correlation residual %.3e" % (ns.out, a.size, resid))

@@ -1,9 +1,10 @@
-"""Error norms, mass quadrature, and convergence-rate estimation.
+"""Evaluation of a finished chain: tracer pullback, error norms, mass
+quadrature, and convergence-rate estimation.
 
-Random-point norms draw uniform sphere samples from seeded Gaussian
-chunks; each chunk has its own (seed, index) stream and reductions run in
-fixed chunk order, so results are bit-identical whether the chunks are
-processed serially or by the CMM_THREADS worker pool.
+Every evaluation runs over fixed slices of _CHUNK points, so its working
+memory does not grow with the point count; random samples come from one
+seeded (seed, index) stream per chunk. Reductions run in fixed chunk order, so results are
+bit-identical whether the chunks run serially or on the CMM_THREADS pool.
 """
 
 import os
@@ -41,29 +42,38 @@ def _chunk_points(seed, index, m):
     return radial_project(rng.standard_normal((m, 3)))
 
 
-def _per_chunk(fn, n_samples, seed):
-    """Apply fn to every sample chunk; return the results in chunk order."""
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise ValueError("need at least one sample, got %d" % n_samples)
-    sizes = []
-    left = n_samples
-    while left > 0:
-        sizes.append(min(_CHUNK, left))
-        left -= _CHUNK
-
-    def work(i):
-        return np.atleast_1d(np.asarray(fn(_chunk_points(seed, i, sizes[i]))))
-
+def _per_chunk(work, n):
+    """Run work(i, lo, hi) over consecutive _CHUNK slices [lo, hi) of n
+    points, on CMM_THREADS workers; return the results in chunk order."""
+    bounds = [(i, lo, min(lo + _CHUNK, n)) for i, lo in enumerate(range(0, n, _CHUNK))]
     threads = _thread_count()
-    if threads == 1 or len(sizes) == 1:
-        return [work(i) for i in range(len(sizes))]
+    if threads == 1 or len(bounds) < 2:
+        return [work(*b) for b in bounds]
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(work, range(len(sizes))))
+        return list(ex.map(lambda b: work(*b), bounds))
+
+
+def _per_point(fn, points):
+    """fn applied to points (..., 3) chunk by chunk. fn maps (m, 3) points
+    to (m, ...) values; the result has the points' leading shape."""
+    flat = np.asarray(points, dtype=float).reshape(-1, 3)
+    out = np.concatenate(_per_chunk(lambda i, lo, hi: fn(flat[lo:hi]), flat.shape[0])
+                         or [np.empty(0)])
+    return out.reshape(np.shape(points)[:-1] + out.shape[1:])
+
+
+def pullback_tracer(chain, tracer, points):
+    """Transported tracer values at points (..., 3): the initial field
+    along the backward map."""
+    return _per_point(lambda p: tracer(chain.eval(p)), points)
 
 
 def _max_over_samples(fn, n_samples, seed):
-    results = _per_chunk(fn, n_samples, seed)
+    """Elementwise max of fn over the chunks of n_samples random points."""
+    n_samples = int(n_samples)
+    if n_samples < 1:
+        raise ValueError("need at least one sample, got %d" % n_samples)
+    results = _per_chunk(lambda i, lo, hi: fn(_chunk_points(seed, i, hi - lo)), n_samples)
     out = results[0]
     for r in results[1:]:
         out = np.maximum(out, r)
@@ -89,14 +99,12 @@ def linf_error(chain, phi0, exact, n_samples=1_000_000, seed=0):
 
 def l1_error(chain, phi0, exact, mesh):
     """Vertex-rule L1 error: each triangle spreads its area over its corners."""
-    verts = mesh.vertices
-    err = np.abs(phi0(chain.eval(verts)) - exact(verts))
-    ref = np.abs(exact(verts))
+    ref = _per_point(exact, mesh.vertices)
+    err = np.abs(pullback_tracer(chain, phi0, mesh.vertices) - ref)
     w = np.zeros(mesh.n_vertices)
     np.add.at(w, mesh.triangles.ravel(), np.repeat(triangle_areas(mesh) / 3.0, 3))
-    num = float(np.sum(err * w))
-    den = float(np.sum(ref * w))
-    return num / (den if den > _TINY else 1.0)
+    den = float(np.sum(np.abs(ref) * w))
+    return float(np.sum(err * w)) / (den if den > _TINY else 1.0)
 
 
 def map_error(chain, exact_map, n_samples=1_000_000, seed=0):
@@ -118,6 +126,27 @@ def density_error(chain, n_samples=1_000_000, seed=0):
     return float(_max_over_samples(fn, n_samples, seed)[0])
 
 
+def _mass_nodes(n_cells):
+    """Weights (m,), points (m, 3) and (d theta, d lambda) tangent pairs
+    (m, 2, 3) of the mass quadrature, m = 9 n_cells^2."""
+    nodes, weights = leggauss(3)
+
+    def axis_nodes(lo, hi):
+        edges = np.linspace(lo, hi, n_cells + 1)
+        mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+        return (mid[:, None] + half[:, None] * nodes).ravel(), (half[:, None] * weights).ravel()
+
+    lam, wl = axis_nodes(0.0, 2.0 * np.pi)
+    th, wt = axis_nodes(1e-10, np.pi - 1e-10)
+    LAM, TH = (a.ravel() for a in np.meshgrid(lam, th))
+    W = (wt[:, None] * wl[None, :]).ravel()
+    st, ct, sl, cl = np.sin(TH), np.cos(TH), np.sin(LAM), np.cos(LAM)
+    pts = np.stack([st * cl, st * sl, ct], axis=-1)
+    d_th = np.stack([ct * cl, ct * sl, -st], axis=-1)
+    d_lam = np.stack([-st * sl, st * cl, np.zeros_like(st)], axis=-1)
+    return W, pts, np.stack([d_th, d_lam], axis=1)
+
+
 def mass_integral(chain, n_cells=64):
     """Total transported area of the sphere, normalized to 1.
 
@@ -129,36 +158,15 @@ def mass_integral(chain, n_cells=64):
     """
     if n_cells < 8:
         raise ValueError("mass quadrature needs at least 8 cells per axis")
-    nodes, weights = leggauss(3)
-    inset = 1e-10
-    lam_edges = np.linspace(0.0, 2.0 * np.pi, n_cells + 1)
-    th_edges = np.linspace(inset, np.pi - inset, n_cells + 1)
-
-    def axis_nodes(edges):
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * np.diff(edges)
-        pts = mid[:, None] + half[:, None] * nodes[None, :]
-        wts = half[:, None] * weights[None, :]
-        return pts.ravel(), wts.ravel()
-
-    lam, wl = axis_nodes(lam_edges)
-    th, wt = axis_nodes(th_edges)
-    LAM, TH = np.meshgrid(lam, th)
-    W = (wt[:, None] * wl[None, :]).ravel()
-    LAM = LAM.ravel()
-    TH = TH.ravel()
-
-    st, ct = np.sin(TH), np.cos(TH)
-    sl, cl = np.sin(LAM), np.cos(LAM)
-    pts = np.stack([st * cl, st * sl, ct], axis=-1)
-    d_th = np.stack([ct * cl, ct * sl, -st], axis=-1)
-    d_lam = np.stack([-st * sl, st * cl, np.zeros_like(st)], axis=-1)
-    tang = np.stack([d_th, d_lam], axis=1)
-
+    W, pts, tang = _mass_nodes(n_cells)
+    parts = _per_chunk(
+        lambda i, lo, hi: float(np.dot(W[lo:hi], area_form(*chain.jet(pts[lo:hi], tang[lo:hi])))),
+        pts.shape[0],
+    )
+    # Chunk order, left to right: sum() compensates floats from Python 3.12.
     total = 0.0
-    for i in range(0, pts.shape[0], _CHUNK):
-        sl_ = slice(i, i + _CHUNK)
-        total += float(np.dot(W[sl_], area_form(*chain.jet(pts[sl_], tang[sl_]))))
+    for part in parts:
+        total += part
     return total / (4.0 * np.pi)
 
 

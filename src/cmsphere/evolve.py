@@ -145,8 +145,3 @@ def run(u, config, mesh=None):
     chain.breaks.append(config.t_final)
     return chain
 
-
-def pullback_tracer(chain, tracer, points):
-    """Transported tracer values: the initial field along the backward map."""
-    return tracer(chain.eval(points))
-

@@ -98,8 +98,12 @@ def solid_body(alpha=0.0, T=1.0):
 def _deform_prime(q, t, T):
     """Deformation velocity in its co-rotating frame, rows of q primed."""
     amp = 4.0 * np.cos(np.pi * t / T) * q[..., 1]
-    out = np.stack([-q[..., 2], np.zeros_like(amp), q[..., 0]], axis=-1)
-    return amp[..., None] * out
+    out = np.empty(np.shape(q))
+    np.multiply(amp, -q[..., 2], out=out[..., 0])
+    # amp * 0.0 keeps the sign of zero and NaN of the scaled zero column
+    np.multiply(amp, 0.0, out=out[..., 1])
+    np.multiply(amp, q[..., 0], out=out[..., 2])
+    return out
 
 
 def deformational(alpha=0.0, T=5.0):
@@ -122,19 +126,19 @@ def vortex_rate(rho, T):
     vector vanishes there too.
     """
     rho = np.asarray(rho, dtype=float)
-    safe = np.where(rho == 0.0, 1.0, rho)
-    w = np.tanh(safe) / (safe * np.cosh(safe) ** 2)
-    w = np.where(rho == 0.0, 0.0, w)
+    w = np.divide(np.tanh(rho), rho * np.cosh(rho) ** 2, out=np.zeros_like(rho), where=rho != 0.0)
     return (2.0 * np.pi / T) * 1.5 * np.sqrt(3.0) * w
 
 
 def _vortex_prime(q, t, T):
     """Vortex velocity in its own frame, steady: azimuthal rotation at
     vortex_rate."""
-    s = np.hypot(q[..., 0], q[..., 1])
-    w = vortex_rate(3.0 * s, T)
-    out = np.stack([-q[..., 1], q[..., 0], np.zeros_like(w)], axis=-1)
-    return w[..., None] * out
+    w = vortex_rate(3.0 * np.hypot(q[..., 0], q[..., 1]), T)
+    out = np.empty(np.shape(q))
+    np.multiply(w, -q[..., 1], out=out[..., 0])
+    np.multiply(w, q[..., 0], out=out[..., 1])
+    np.multiply(w, 0.0, out=out[..., 2])
+    return out
 
 
 def _vortex_initial(p, frame0):

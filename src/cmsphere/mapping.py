@@ -118,7 +118,8 @@ class MapChain:
 
 
 def save_chain(chain, path):
-    """Serialize a chain: refinement level, window breaks, coefficients.
+    """Serialize a chain to exactly path, .npz or not: refinement level,
+    window breaks, coefficients.
 
     Keys: format (int), level (int), breaks (n_maps + 1,), coeffs
     (n_maps, n_triangles, 19, 3).
@@ -126,13 +127,9 @@ def save_chain(chain, path):
     coeffs = np.stack([m.spline.coeffs for m in chain.maps], axis=0) if chain.maps else np.zeros(
         (0, chain.mesh.n_triangles, 19, 3)
     )
-    np.savez_compressed(
-        path,
-        format=_CHAIN_FORMAT,
-        level=chain.mesh.level,
-        breaks=np.asarray(chain.breaks, dtype=float),
-        coeffs=coeffs,
-    )
+    with open(path, "wb") as f:  # given a path, numpy would append .npz
+        np.savez_compressed(f, format=_CHAIN_FORMAT, level=chain.mesh.level,
+                            breaks=np.asarray(chain.breaks, dtype=float), coeffs=coeffs)
 
 
 def load_chain(path, mesh=None):

@@ -225,14 +225,19 @@ def _ring_constants(entities, g1, g2):
     return [np.ascontiguousarray(x.transpose(1, 2, 0)) for x in (cosw, 0.5 * sinw, eg1, eg2)]
 
 
-def _build_grid(centers, cells_theta, cells_lam):
-    lam, theta = cart_to_sph(centers)
+def _grid_cell(p, cells_theta, cells_lam):
+    """(colatitude, longitude) indices of each point's cell in a
+    cells_theta x cells_lam grid."""
+    lam, theta = cart_to_sph(p)
     it = np.clip((theta / np.pi * cells_theta).astype(np.int64), 0, cells_theta - 1)
-    il = np.clip(
-        (lam / (2.0 * np.pi) * cells_lam).astype(np.int64), 0, cells_lam - 1
-    )
+    il = np.clip((lam / (2.0 * np.pi) * cells_lam).astype(np.int64), 0, cells_lam - 1)
+    return it, il
+
+
+def _build_grid(centers, cells_theta, cells_lam):
     grid = np.full((cells_theta, cells_lam), _GRID_SENTINEL, dtype=np.int64)
-    np.minimum.at(grid, (it, il), np.arange(centers.shape[0], dtype=np.int64))
+    np.minimum.at(grid, _grid_cell(centers, cells_theta, cells_lam),
+                  np.arange(centers.shape[0], dtype=np.int64))
     # Flood empty cells from filled neighbors (wrapping in longitude).
     while np.any(grid == _GRID_SENTINEL):
         best = grid.copy()
@@ -337,11 +342,7 @@ def build_icosahedral(level):
 
 
 def _grid_seed(mesh, p):
-    lam, theta = cart_to_sph(p)
-    ct, cl = mesh.grid_start.shape
-    it = np.clip((theta / np.pi * ct).astype(np.int64), 0, ct - 1)
-    il = np.clip((lam / (2.0 * np.pi) * cl).astype(np.int64), 0, cl - 1)
-    return mesh.grid_start[it, il]
+    return mesh.grid_start[_grid_cell(p, *mesh.grid_start.shape)]
 
 
 def _macro_bary(mesh, tri, p):

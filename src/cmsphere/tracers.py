@@ -67,12 +67,12 @@ def random_sph_harmonics(seed=42, lmax=32):
 
     Coefficients are uniform in [-1, 1], indexed l(l+1)+m, drawn once at
     construction. Evaluation runs a rolling three-term recurrence per
-    order m, so memory stays linear in the number of points.
+    order m, on the point chunks diagnostics hands it.
     """
     rng = np.random.default_rng(seed)
     coeffs = rng.uniform(-1.0, 1.0, size=(lmax + 1) ** 2)
 
-    def eval_chunk(p):
+    def field(p):
         lam, theta = cart_to_sph(p)
         ct, st = np.cos(theta), np.sin(theta)
         acc = np.zeros_like(ct)
@@ -97,15 +97,6 @@ def random_sph_harmonics(seed=42, lmax=32):
                         coeffs[l * (l + 1) + m] * az_c + coeffs[l * (l + 1) - m] * az_s
                     )
         return acc
-
-    def field(p):
-        p = np.asarray(p, dtype=float)
-        flat = p.reshape(-1, 3)
-        out = np.empty(flat.shape[0])
-        step = 1 << 17
-        for i in range(0, flat.shape[0], step):
-            out[i : i + step] = eval_chunk(flat[i : i + step])
-        return out.reshape(p.shape[:-1])
 
     return field
 

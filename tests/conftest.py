@@ -2,7 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from cmsphere.diagnostics import _per_chunk
+from cmsphere.diagnostics import _chunk_points, _per_chunk
 from cmsphere.fields import RotatingFrame, vortex_rate
 from cmsphere.geom import cart_to_sph, radial_project, rotation_matrix
 from cmsphere.mesh import _edge_geometry, locate_batch
@@ -12,7 +12,7 @@ from cmsphere.spline import EDGE_ROWS, MacroSpline, build_coefficients
 def sample_sphere(n, seed):
     """Uniform random unit points in the chunked order the random-point
     error norms draw them."""
-    return np.concatenate(_per_chunk(lambda pts: pts, n, seed))
+    return np.concatenate(_per_chunk(lambda i, lo, hi: _chunk_points(seed, i, hi - lo), n))
 
 
 def edge_geometry(mesh):

@@ -1,13 +1,18 @@
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cmsphere import cli
+from cmsphere import cli, diagnostics
 from cmsphere.diagnostics import CSV_HEADER
 from cmsphere.errors import LocationFailure, NonFiniteState, ZeroVector
-from cmsphere.mapping import load_chain
+from cmsphere.mapping import MapChain, load_chain
+from cmsphere.mesh import build_icosahedral
 from cmsphere.tracers import cosine_bells
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_mesh_command(capsys, tmp_path):
@@ -179,6 +184,74 @@ def test_config_resolution(capsys, tmp_path):
 
     assert cli.main(["run", "--config", str(tmp_path / "missing.ini")]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"k = 1\n",
+        b"[run]\nk = 1\nk = 2\n",
+        b"[run]\nk = 1\njunk\n",
+        b"[run]\nk = \xff\xfe1\n",
+    ],
+    ids=["no-section", "duplicate-key", "junk-line", "not-utf8"],
+)
+def test_malformed_config_exits_2(raw, capsys, tmp_path):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes(raw)
+    assert cli.main(["run", "--config", str(cfg), "--k", "0", "--n-steps", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config file ") and err.count("\n") == 1
+
+
+def test_save_chain_flag_writes_the_named_path(capsys, tmp_path):
+    path = tmp_path / "chain"
+    assert cli.main(["run", "--k", "1", "--n-steps", "2", "--save-chain", str(path)]) == 0
+    assert "chain saved to %s" % path in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chain"]
+    assert load_chain(str(path)).n_submaps == 1
+
+
+def readme_cli_lines():
+    block = re.search(r"^## CLI\n.*?^```\n(.*?)^```", README.read_text(), re.M | re.S).group(1)
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+
+
+def test_readme_cli_lines_parse(tmp_path, monkeypatch):
+    # every example resolves its options and level without a usage error
+    monkeypatch.chdir(tmp_path)
+    lines = readme_cli_lines()
+    assert len(lines) == 8 and all(argv[0] == "cmsphere" for argv in lines)
+    for argv in lines:
+        args = cli._build_parser().parse_args(argv[1:])
+        ns = cli._merge(args, args.command, cli._COMMANDS[args.command][1])
+        cli._check_level(ns)
+
+
+def test_chain_evaluations_stay_within_one_chunk(tmp_path, monkeypatch):
+    monkeypatch.setattr(diagnostics, "_CHUNK", 1000)
+    sizes = []
+    real_eval, real_jet = MapChain.eval, MapChain.jet
+
+    def spy_eval(self, p):
+        sizes.append(len(p))
+        return real_eval(self, p)
+
+    def spy_jet(self, p, tangents):
+        sizes.append(len(p))
+        return real_jet(self, p, tangents)
+
+    monkeypatch.setattr(MapChain, "eval", spy_eval)
+    monkeypatch.setattr(MapChain, "jet", spy_jet)
+    run = ["--k", "2", "--n-steps", "2"]
+    assert cli.main(["render", "--resolution", "30", "--out", str(tmp_path / "r.pgm")] + run) == 0
+    assert cli.main(["mixing", "--resolution", "40", "--out", str(tmp_path / "m.csv")] + run) == 0
+    chain = MapChain(mesh=build_icosahedral(1))
+    diagnostics.l1_error(chain, cosine_bells(), cosine_bells(), build_icosahedral(4))
+    diagnostics.mass_integral(chain, 16)
+    # render 1800 pixels, mixing 1600, l1 2562 vertices, mass 2304 nodes
+    assert sum(sizes) == 1800 + 1600 + 2562 + 2304
+    assert max(sizes) == 1000
 
 
 @pytest.mark.parametrize(

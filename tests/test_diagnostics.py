@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import sample_sphere, vortex_solution
 
+from cmsphere import diagnostics
 from cmsphere.diagnostics import (
     CSV_HEADER,
     ErrorReport,
@@ -14,11 +15,13 @@ from cmsphere.diagnostics import (
     linf_error,
     map_error,
     mass_integral,
+    pullback_tracer,
     reference_map,
     reference_solution,
 )
 from cmsphere.evolve import CMConfig, run
 from cmsphere.fields import FLOWS, get_flow
+from cmsphere.geom import area_form
 from cmsphere.mapping import MapChain
 from cmsphere.mesh import build_icosahedral, triangle_areas
 from cmsphere.tracers import get_tracer
@@ -109,19 +112,64 @@ def test_convergence_slope():
         convergence_slope([0.4, 0.2], [1e-13, 1e-14])
 
 
+def chunked_results(chain, flow, mesh4):
+    phi0 = initial_tracer(flow)
+    exact = reference_solution(flow, phi0, flow.T)
+    return (
+        linf_error(chain, phi0, exact, 150000, 0),
+        tuple(map_error(chain, reference_map(flow, flow.T), 150000, 0)),
+        l1_error(chain, phi0, exact, mesh4),
+        mass_integral(chain, 96),
+        pullback_tracer(chain, phi0, sample_sphere(150000, 5)).tobytes(),
+    )
+
+
 def test_worker_pool_is_bit_identical(rotation_run, monkeypatch):
+    # 150 000 samples and 82 944 mass nodes span more than one chunk; the
+    # 2562 vertices of the l1 rule do so with the chunk lowered to 1000
+    flow, chain = rotation_run
+    mesh4 = build_icosahedral(4)
+    monkeypatch.setenv("CMM_THREADS", "1")
+    serial = chunked_results(chain, flow, mesh4)
+    monkeypatch.setenv("CMM_THREADS", "2")
+    assert chunked_results(chain, flow, mesh4) == serial
+    monkeypatch.setattr(diagnostics, "_CHUNK", 1000)
+    monkeypatch.setenv("CMM_THREADS", "1")
+    serial = chunked_results(chain, flow, mesh4)
+    monkeypatch.setenv("CMM_THREADS", "2")
+    assert chunked_results(chain, flow, mesh4) == serial
+    monkeypatch.setenv("CMM_THREADS", "not a number")
+    with pytest.raises(ValueError):
+        chunked_results(chain, flow, mesh4)
+
+
+def test_chunked_evaluations_match_unchunked_formulas(rotation_run, monkeypatch):
     flow, chain = rotation_run
     phi0 = initial_tracer(flow)
     exact = reference_solution(flow, phi0, flow.T)
-    xref = reference_map(flow, flow.T)
-    serial = linf_error(chain, phi0, exact, 150000, 0)
-    serial_map = map_error(chain, xref, 150000, 0)
-    monkeypatch.setenv("CMM_THREADS", "4")
-    assert linf_error(chain, phi0, exact, 150000, 0) == serial
-    assert np.array_equal(map_error(chain, xref, 150000, 0), serial_map)
-    monkeypatch.setenv("CMM_THREADS", "not a number")
-    with pytest.raises(ValueError):
-        linf_error(chain, phi0, exact, 150000, 0)
+    mesh4 = build_icosahedral(4)
+    pts = sample_sphere(2500, 5)
+    monkeypatch.setattr(diagnostics, "_CHUNK", 1000)
+    whole = phi0(chain.eval(pts))
+    assert np.array_equal(pullback_tracer(chain, phi0, pts), whole)
+    grid = pts.reshape(50, 50, 3)
+    assert np.array_equal(pullback_tracer(chain, phi0, grid), whole.reshape(50, 50))
+    assert pullback_tracer(chain, phi0, np.empty((0, 3))).shape == (0,)
+
+    verts = mesh4.vertices
+    w = np.zeros(mesh4.n_vertices)
+    np.add.at(w, mesh4.triangles.ravel(), np.repeat(triangle_areas(mesh4) / 3.0, 3))
+    err = np.abs(phi0(chain.eval(verts)) - exact(verts))
+    want = float(np.sum(err * w)) / float(np.sum(np.abs(exact(verts)) * w))
+    assert l1_error(chain, phi0, exact, mesh4) == want
+
+    # mass: one dot product per chunk of quadrature nodes, added in order
+    W, p, tang = diagnostics._mass_nodes(16)
+    total = 0.0
+    for lo in range(0, len(W), 1000):
+        s = slice(lo, lo + 1000)
+        total += float(np.dot(W[s], area_form(*chain.jet(p[s], tang[s]))))
+    assert mass_integral(chain, 16) == total / (4.0 * np.pi)
 
 
 def test_thread_count_parsing(monkeypatch):

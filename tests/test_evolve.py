@@ -6,8 +6,9 @@ import pytest
 from conftest import pullback_density, sample_sphere
 
 from cmsphere import evolve
+from cmsphere.diagnostics import pullback_tracer
 from cmsphere.errors import NonFiniteState
-from cmsphere.evolve import CMConfig, pullback_tracer, rk4_backstep, run
+from cmsphere.evolve import CMConfig, rk4_backstep, run
 from cmsphere.fields import deformational, moving_vortex, solid_body
 from cmsphere.geom import radial_project, rotation_matrix, vertex_frames
 from cmsphere.mapping import SphereMap

@@ -132,6 +132,15 @@ def test_save_load_roundtrip(tmp_path, mesh, points):
     assert np.array_equal(back.eval(points), chain.eval(points))
 
 
+def test_save_writes_the_named_path(tmp_path, mesh, points):
+    # numpy appends .npz to a bare path; the chain file must not move
+    chain = MapChain(mesh=mesh, maps=[linear_map(mesh, np.eye(3))], breaks=[0.0, 1.0])
+    path = tmp_path / "chain"
+    save_chain(chain, str(path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chain"]
+    assert np.array_equal(load_chain(str(path)).eval(points), chain.eval(points))
+
+
 def test_save_load_empty_chain(tmp_path, mesh):
     path = tmp_path / "empty.npz"
     save_chain(MapChain(mesh=mesh), path)
