@@ -5,6 +5,9 @@ Every evaluation runs over fixed slices of _CHUNK points, so its working
 memory does not grow with the point count; random samples come from one
 seeded (seed, index) stream per chunk. Reductions run in fixed chunk order, so results are
 bit-identical whether the chunks run serially or on the CMM_THREADS pool.
+The one exception is evaluate_run, which walks each sample chunk through
+the chain once for its three sample norms and so holds every chunk's
+footpoints, 24 bytes per sample, for the length of the call.
 """
 
 import os
@@ -69,27 +72,30 @@ def pullback_tracer(chain, tracer, points):
 
 
 def _max_over_samples(fn, n_samples, seed):
-    """Elementwise max of fn over the chunks of n_samples random points."""
+    """Elementwise max of fn(i, points) over the chunks i of n_samples
+    random points."""
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError("need at least one sample, got %d" % n_samples)
-    results = _per_chunk(lambda i, lo, hi: fn(_chunk_points(seed, i, hi - lo)), n_samples)
+    results = _per_chunk(lambda i, lo, hi: fn(i, _chunk_points(seed, i, hi - lo)), n_samples)
     out = results[0]
     for r in results[1:]:
         out = np.maximum(out, r)
     return out
 
 
-def linf_error(chain, phi0, exact, n_samples=1_000_000, seed=0):
+def linf_error(chain, phi0, exact, n_samples=1_000_000, seed=0, *, feet=None):
     """Relative sup error of the transported tracer at random points.
 
     Normalized by the sup of |exact| over the same points; a vanishing
-    reference leaves the error unnormalized.
+    reference leaves the error unnormalized. feet, if given, is the memo
+    density_error filled for the same samples: each chunk's footpoints are
+    taken from it, and removed, in place of a chain walk.
     """
 
-    def fn(pts):
+    def fn(i, pts):
         ref = exact(pts)
-        num = np.abs(phi0(chain.eval(pts)) - ref)
+        num = np.abs(phi0(chain.eval(pts) if feet is None else feet.pop(i)) - ref)
         return np.array([np.max(num), np.max(np.abs(ref))])
 
     m = _max_over_samples(fn, n_samples, seed)
@@ -107,21 +113,29 @@ def l1_error(chain, phi0, exact, mesh):
     return float(np.sum(err * w)) / (den if den > _TINY else 1.0)
 
 
-def map_error(chain, exact_map, n_samples=1_000_000, seed=0):
-    """Componentwise sup distance between the chain and an exact map."""
+def map_error(chain, exact_map, n_samples=1_000_000, seed=0, *, feet=None):
+    """Componentwise sup distance between the chain and an exact map;
+    feet, if given, supplies each chunk's footpoints as in linf_error,
+    but keeps them."""
 
-    def fn(pts):
-        return np.max(np.abs(chain.eval(pts) - exact_map(pts)), axis=0)
+    def fn(i, pts):
+        foot = chain.eval(pts) if feet is None else feet[i]
+        return np.max(np.abs(foot - exact_map(pts)), axis=0)
 
     return _max_over_samples(fn, n_samples, seed)
 
 
-def density_error(chain, n_samples=1_000_000, seed=0):
+def density_error(chain, n_samples=1_000_000, seed=0, *, feet=None):
     """Sup of |1 - J| at random points; the exact J is 1 for volume
-    preserving maps, including any map at the end of a retracing flow."""
+    preserving maps, including any map at the end of a retracing flow.
+    feet, if given, is a dict that receives each chunk's footpoints, keyed
+    by chunk index, for map_error and linf_error on the same samples."""
 
-    def fn(pts):
-        return np.array([np.max(np.abs(1.0 - chain.eval_with_jacobian(pts)[1]))])
+    def fn(i, pts):
+        foot, jac = chain.eval_with_jacobian(pts)
+        if feet is not None:
+            feet[i] = foot
+        return np.array([np.max(np.abs(1.0 - jac))])
 
     return float(_max_over_samples(fn, n_samples, seed)[0])
 
@@ -263,15 +277,21 @@ def evaluate_run(flow, chain, n_steps, tracer_name=None, t=None,
     phi0 = initial_tracer(flow, tracer_name)
     exact = reference_solution(flow, phi0, t)
     mass = mass_integral(chain, mass_cells)
+    # One chain walk per sample chunk: density_error stores the footpoints
+    # (24 bytes per sample), map_error reads them, linf_error empties the memo.
+    feet = {}
+    density_err = density_error(chain, n_samples, seed, feet=feet)
+    map_err = tuple(map_error(chain, xref, n_samples, seed, feet=feet))
+    linf = linf_error(chain, phi0, exact, n_samples, seed, feet=feet)
     return ErrorReport(
         test=flow.name,
         k=chain.mesh.level,
         n_steps=n_steps,
         remaps=max(0, chain.n_submaps - 1),
-        linf=linf_error(chain, phi0, exact, n_samples, seed),
+        linf=linf,
         l1=l1_error(chain, phi0, exact, chain.mesh),
-        map_err=tuple(map_error(chain, xref, n_samples, seed)),
-        density_err=density_error(chain, n_samples, seed),
+        map_err=map_err,
+        density_err=density_err,
         mass_err=abs(1.0 - mass),
         wall_time_s=wall_time_s,
         seed=seed,

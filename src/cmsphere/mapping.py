@@ -55,14 +55,18 @@ class SphereMap:
             If a pre-projection value has norm below MIN_PRE_NORM.
         """
         tri, sub, bary = locate_batch(self.spline.mesh, p) if loc is None else loc
-        raw = self.spline.eval_located(tri, sub, bary)
+        if dirs is None:
+            raw = self.spline.eval_located(tri, sub, bary)
+        else:
+            raw, w = self.spline.derivative_located(tri, sub, bary, dirs)
         n = _norm3(raw)[:, None]
         if np.any(n < MIN_PRE_NORM):
             raise ZeroVector("map value collapsed toward the origin")
+        # The same division with or without dirs: eval_with_jacobian's
+        # footpoints are eval's, bit for bit.
         out = raw / n
         if dirs is None:
             return out
-        w = self.spline.derivative_located(tri, sub, bary, dirs)
         return out, project_differential(raw[:, None, :], w)
 
 

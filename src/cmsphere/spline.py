@@ -82,17 +82,22 @@ class MacroSpline:
 
     def eval_located(self, tri, sub, bary):
         """Values at already-located points, shape (n, m)."""
-        e1, e2, e3 = self._first_stage(tri, sub, bary)
-        return bary[:, 0, None] * e1 + bary[:, 1, None] * e2 + bary[:, 2, None] * e3
+        return _last_stage(bary, *self._first_stage(tri, sub, bary))
 
     def derivative_located(self, tri, sub, bary, g):
-        """Derivatives along directions g (n, q, 3) at located points,
-        shape (n, q, m); every direction shares one gather and stage."""
+        """Values (n, m), bit-identical to eval_located's, and derivatives
+        along directions g (n, q, 3), shape (n, q, m), at located points;
+        the values and every direction share one gather and stage."""
         e1, e2, e3 = self._first_stage(tri, sub, bary)
         sub_inv = self.mesh.sub_inv.reshape(-1, 3, 3)
         bg = np.einsum("nij,nqj->nqi", np.take(sub_inv, tri * 6 + sub, axis=0), g)
-        return 2.0 * (
+        return _last_stage(bary, e1, e2, e3), 2.0 * (
             bg[..., 0, None] * e1[:, None]
             + bg[..., 1, None] * e2[:, None]
             + bg[..., 2, None] * e3[:, None]
         )
+
+
+def _last_stage(bary, e1, e2, e3):
+    """The last de Casteljau stage: values (n, m) from the partial values."""
+    return bary[:, 0, None] * e1 + bary[:, 1, None] * e2 + bary[:, 2, None] * e3

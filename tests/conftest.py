@@ -99,7 +99,7 @@ def derivative(spline, p, g):
     """Directional derivatives along g (n, 3) at unit points p (n, 3),
     shape (n, m)."""
     tri, sub, bary = locate_batch(spline.mesh, p)
-    return spline.derivative_located(tri, sub, bary, g[:, None])[:, 0]
+    return spline.derivative_located(tri, sub, bary, g[:, None])[1][:, 0]
 
 
 def bernstein_value(coeffs6, bary):
@@ -149,7 +149,7 @@ def edge_jumps(spline, n_pts):
             tri = pair[:, side]
             sub, bary = locate_in_triangle(mesh, tri, pts)
             vals.append(spline.eval_located(tri, sub, bary)[:, 0])
-            ders.append(spline.derivative_located(tri, sub, bary, normal[:, None])[:, 0, 0])
+            ders.append(spline.derivative_located(tri, sub, bary, normal[:, None])[1][:, 0, 0])
         c0 = max(c0, np.abs(vals[1] - vals[0]).max())
         c1 = max(c1, np.abs(ders[1] - ders[0]).max())
     return c0, c1

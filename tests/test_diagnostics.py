@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from conftest import sample_sphere, vortex_solution
@@ -273,3 +275,77 @@ def test_evaluate_run_report(rotation_run, empty):
     assert rep.mass_err < 1e-4
     with pytest.raises(ValueError, match="no exact reference"):
         evaluate_run(get_flow("deformational"), empty, 0, t=0.3)
+
+
+@pytest.fixture(scope="module")
+def remapped_run():
+    flow = get_flow("solid_body", alpha=1.05)
+    chain = run(flow.velocity, CMConfig(level=2, n_steps=8, t_final=flow.T, remap_stride=4))
+    return flow, chain
+
+
+def sample_norms(flow, chain, n, seed):
+    """linf, map and density errors, each walking its own samples."""
+    phi0 = initial_tracer(flow)
+    exact = reference_solution(flow, phi0, flow.T)
+    return (linf_error(chain, phi0, exact, n, seed),
+            tuple(map_error(chain, reference_map(flow, flow.T), n, seed)),
+            density_error(chain, n, seed))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_evaluate_run_walks_each_sample_chunk_once(remapped_run, monkeypatch, threads):
+    flow, chain = remapped_run
+    assert chain.n_submaps == 2
+    monkeypatch.setenv("CMM_THREADS", threads)
+    chunk = diagnostics._CHUNK
+    n = 2 * chunk + 17  # the last chunk is partial
+    walked = {"eval": [], "eval_with_jacobian": []}
+    with monkeypatch.context() as m:
+        for name, sizes in walked.items():
+            def spy(self, p, _orig=getattr(MapChain, name), _sizes=sizes):
+                _sizes.append(len(p))
+                return _orig(self, p)
+            m.setattr(MapChain, name, spy)
+        rep = evaluate_run(flow, chain, 8, n_samples=n, seed=3, mass_cells=8)
+    # the one MapChain.eval is l1_error's pullback of the mesh vertices
+    assert walked["eval"] == [chain.mesh.n_vertices]
+    assert sorted(walked["eval_with_jacobian"]) == [17, chunk, chunk]
+    assert (rep.linf, rep.map_err, rep.density_err) == sample_norms(flow, chain, n, 3)
+
+
+def test_shared_walk_under_a_busy_pool(remapped_run, monkeypatch):
+    # 41 chunks on three workers, switching threads often: a lost
+    # memo entry would make linf_error raise
+    flow, chain = remapped_run
+    monkeypatch.setattr(diagnostics, "_CHUNK", 1000)
+    monkeypatch.setenv("CMM_THREADS", "1")
+    serial = evaluate_run(flow, chain, 8, n_samples=40017, seed=4, mass_cells=8)
+    monkeypatch.setenv("CMM_THREADS", "3")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = evaluate_run(flow, chain, 8, n_samples=40017, seed=4, mass_cells=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pooled == serial
+
+
+def test_footpoint_memo_must_hold_every_chunk(rotation_run, monkeypatch):
+    flow, chain = rotation_run
+    phi0 = initial_tracer(flow)
+    exact = reference_solution(flow, phi0, flow.T)
+    xref = reference_map(flow, flow.T)
+    monkeypatch.setattr(diagnostics, "_CHUNK", 1000)
+    feet = {}
+    density_error(chain, 1000, 0, feet=feet)
+    assert list(feet) == [0]
+    with pytest.raises(KeyError):
+        map_error(chain, xref, 1500, 0, feet=feet)
+    with pytest.raises(KeyError):
+        linf_error(chain, phi0, exact, 1500, 0, feet=dict(feet))
+    walked = tuple(map_error(chain, xref, 1000, 0, feet=feet))
+    assert walked == tuple(map_error(chain, xref, 1000, 0))
+    walked = linf_error(chain, phi0, exact, 1000, 0, feet=feet)
+    assert walked == linf_error(chain, phi0, exact, 1000, 0)
+    assert feet == {}

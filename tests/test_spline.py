@@ -78,7 +78,7 @@ def test_euler_identity(mesh, generic):
     pts = sample_sphere(2000, seed=4)
     tri, sub, bary = locate_batch(mesh, pts)
     val = generic.eval_located(tri, sub, bary)
-    rad = generic.derivative_located(tri, sub, bary, pts[:, None])[:, 0]
+    rad = generic.derivative_located(tri, sub, bary, pts[:, None])[1][:, 0]
     assert np.abs(rad - 2.0 * val).max() < 1e-14
 
 
@@ -121,7 +121,8 @@ def test_scalar_and_vector_shapes(mesh):
     g = np.array([0.0, 0.0, 1.0])
     gb = g - np.sum(batch * g, axis=1, keepdims=True) * batch
     assert derivative(scalar, batch, gb).shape == (7, 1)
-    assert vector.derivative_located(*located, np.stack([gb, gb], axis=1)).shape == (7, 2, 3)
+    values, ders = vector.derivative_located(*located, np.stack([gb, gb], axis=1))
+    assert (values.shape, ders.shape) == ((7, 3), (7, 2, 3))
 
 
 @pytest.mark.parametrize("level", range(5))
@@ -133,6 +134,22 @@ def test_row_build_matches_reference(level, m):
     coeffs = build_coefficients(mesh, values, d1, d2)
     assert coeffs.shape == (mesh.n_triangles, 19, m)
     assert np.array_equal(coeffs, reference_coefficients(mesh, values, d1, d2))
+
+
+@pytest.mark.parametrize("level", [2, 4])
+@pytest.mark.parametrize("m", [1, 3])
+def test_derivative_values_are_eval_values(level, m):
+    # SphereMap.eval takes its values from derivative_located when it pushes
+    # directions, so eval_with_jacobian's footpoints are eval's bit for bit
+    mesh = build_icosahedral(level)
+    rng = np.random.default_rng(level + 10 * m)
+    sp = MacroSpline(mesh, build_coefficients(mesh, *rng.standard_normal((3, mesh.n_vertices, m))))
+    for pts in (sample_sphere(5000, seed=level), mesh.vertices):
+        located = locate_batch(mesh, pts)
+        g = rng.standard_normal((len(pts), 2, 3))
+        values, ders = sp.derivative_located(*located, g)
+        assert np.array_equal(values, sp.eval_located(*located))
+        assert ders.shape == (len(pts), 2, m)
 
 
 def test_constructor_paths_agree_and_share_one_buffer(mesh):
@@ -147,9 +164,8 @@ def test_constructor_paths_agree_and_share_one_buffer(mesh):
     located = locate_batch(mesh, pts)
     g = rng.standard_normal((3000, 2, 3))
     assert np.array_equal(built.eval_located(*located), copied.eval_located(*located))
-    assert np.array_equal(
-        built.derivative_located(*located, g), copied.derivative_located(*located, g)
-    )
+    for a, b in zip(built.derivative_located(*located, g), copied.derivative_located(*located, g)):
+        assert np.array_equal(a, b)
     for sp in (built, copied):
         assert np.array_equal(sp.coeffs, built.coeffs)
         assert sp._rows.flags.c_contiguous
