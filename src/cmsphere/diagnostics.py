@@ -173,10 +173,12 @@ def mass_integral(chain, n_cells=64):
     if n_cells < 8:
         raise ValueError("mass quadrature needs at least 8 cells per axis")
     W, pts, tang = _mass_nodes(n_cells)
-    parts = _per_chunk(
-        lambda i, lo, hi: float(np.dot(W[lo:hi], area_form(*chain.jet(pts[lo:hi], tang[lo:hi])))),
-        pts.shape[0],
-    )
+
+    def part(i, lo, hi):
+        # a numpy reduction, whose order no BLAS thread count can change
+        return float(np.sum(W[lo:hi] * area_form(*chain.jet(pts[lo:hi], tang[lo:hi]))))
+
+    parts = _per_chunk(part, pts.shape[0])
     # Chunk order, left to right: sum() compensates floats from Python 3.12.
     total = 0.0
     for part in parts:

@@ -1,38 +1,45 @@
 """Initial tracer fields on the sphere.
 
 All tracers take Cartesian points of shape (..., 3) and return values of
-the same leading shape. Distances to bell and disk centres use the
-spherical law of cosines in (longitude, colatitude) coordinates.
+the same leading shape. Bell and disk tests measure the chord to the
+Cartesian centres; the harmonics are evaluated as polynomials in x, y, z.
 """
 
 import numpy as np
 
-from .geom import cart_to_sph, great_circle_distance
+from .geom import cart_to_sph, great_circle_distance, sph_to_cart
 
 BELL_RADIUS = 0.5
 BELL_CENTERS = ((7.0 * np.pi / 6.0, 0.5 * np.pi), (5.0 * np.pi / 6.0, 0.5 * np.pi))
+# the centres as sph_to_cart builds them: a point built from a centre's
+# angles has chord exactly 0 and so the bell's peak value exactly
+_BELL_XYZ = [sph_to_cart(lam, theta) for lam, theta in BELL_CENTERS]
+# a great-circle distance r is below BELL_RADIUS when the chord 2 sin(r/2) is
+_BELL_CHORD_SQ = (2.0 * np.sin(0.5 * BELL_RADIUS)) ** 2
 
 
-def _center_distances(p):
-    """Great-circle distances to the two bell centres, shapes (..., 2)."""
-    lam, theta = cart_to_sph(p)
-    out = []
-    for lam_i, theta_i in BELL_CENTERS:
-        c = np.cos(theta_i) * np.cos(theta) + np.sin(theta_i) * np.sin(theta) * np.cos(
-            lam - lam_i
-        )
-        out.append(np.arccos(np.clip(c, -1.0, 1.0)))
-    return np.stack(out, axis=-1)
+def _bell_chords(p):
+    """Squared chords |p - q_i|^2 to the two bell centres, shape (..., 2),
+    and the mask of those that lie inside the bell radius."""
+    p = np.asarray(p, dtype=float)
+    h2 = np.stack(
+        [sum((p[..., j] - q[j]) ** 2 for j in range(3)) for q in _BELL_XYZ], axis=-1
+    )
+    return h2, h2 < _BELL_CHORD_SQ
 
 
 def cosine_bells():
-    """Two cosine bells over a 0.1 background, peak value 1."""
+    """Two cosine bells over a 0.1 background, peak value 1.
+
+    The arc distance r = 2 arcsin(h / 2) and the bell profile are computed
+    only where the chord h to a centre lies inside the bell.
+    """
 
     def field(p):
-        r = _center_distances(p)
-        g = np.where(
-            r < BELL_RADIUS, 0.5 * (1.0 + np.cos(np.pi * r / BELL_RADIUS)), 0.0
-        )
+        h2, inside = _bell_chords(p)
+        g = np.zeros_like(h2)
+        r = 2.0 * np.arcsin(0.5 * np.sqrt(h2[inside]))
+        g[inside] = 0.5 * (1.0 + np.cos(np.pi * r / BELL_RADIUS))
         return 0.1 + 0.9 * (g[..., 0] + g[..., 1])
 
     return field
@@ -49,9 +56,9 @@ def zalesak_disks():
 
     def field(p):
         lam, theta = cart_to_sph(p)
-        dist = _center_distances(p)
-        in1 = dist[..., 0] <= r
-        in2 = dist[..., 1] <= r
+        _, inside = _bell_chords(p)
+        in1 = inside[..., 0]
+        in2 = inside[..., 1]
         d1 = np.abs(lam - lam1)
         d2 = np.abs(lam - lam2)
         hit = (in1 & (d1 >= r / 6.0)) | (in2 & (d2 >= r / 6.0))
@@ -66,37 +73,67 @@ def random_sph_harmonics(seed=42, lmax=32):
     """Random combination of fully normalized real harmonics up to lmax.
 
     Coefficients are uniform in [-1, 1], indexed l(l+1)+m, drawn once at
-    construction. Evaluation runs a rolling three-term recurrence per
-    order m, on the point chunks diagnostics hands it.
+    construction. On the unit sphere the order-m terms are
+    Re((C_m(z) - i S_m(z)) (x + iy)^m), with C_m and S_m polynomials in z,
+    so evaluation calls no trigonometric function and needs no longitude
+    at the poles. The associated Legendre functions, divided by their
+    sin^m(theta) factor and by A_l = a_{m+1} ... a_l, follow
+    q_{l+1} = z q_l - q_{l-1} / a_l^2 from q_m = 1, with z clipped to
+    [-1, 1]; the normalization and A_l go into the coefficients at
+    construction. Each order's two sums are taken in one forward pass,
+    and the orders are combined by Horner's rule in x + iy from lmax down.
     """
     rng = np.random.default_rng(seed)
     coeffs = rng.uniform(-1.0, 1.0, size=(lmax + 1) ** 2)
 
+    orders = []
+    pmm = np.sqrt(0.25 / np.pi)
+    for m in range(lmax + 1):
+        if m > 0:
+            pmm *= np.sqrt((2.0 * m + 1.0) / (2.0 * m))
+        ls = np.arange(m, lmax + 1, dtype=float)
+        a = np.ones_like(ls)
+        a[1:] = np.sqrt((4.0 * ls[1:] ** 2 - 1.0) / (ls[1:] ** 2 - m * m))
+        scale = (np.sqrt(2.0) if m else 1.0) * pmm * np.cumprod(a)
+        idx = np.arange(m, lmax + 1) * np.arange(m + 1, lmax + 2)
+        # gamma[j] = 1 / a_{m+j}^2 steps q_{m+j} to q_{m+j+1}
+        orders.append((scale * coeffs[idx + m], -scale * coeffs[idx - m], 1.0 / a**2))
+
     def field(p):
-        lam, theta = cart_to_sph(p)
-        ct, st = np.cos(theta), np.sin(theta)
-        acc = np.zeros_like(ct)
-        pmm = np.full_like(ct, np.sqrt(0.25 / np.pi))
-        for m in range(lmax + 1):
-            if m > 0:
-                pmm = pmm * st * np.sqrt((2.0 * m + 1.0) / (2.0 * m))
-                az_c = np.sqrt(2.0) * np.cos(m * lam)
-                az_s = np.sqrt(2.0) * np.sin(m * lam)
-            p_prev = np.zeros_like(ct)
-            p_curr = pmm
-            a_prev = 0.0
-            for l in range(m, lmax + 1):
-                if l > m:
-                    a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-                    p_next = a * (ct * p_curr - (p_prev / a_prev if a_prev else 0.0))
-                    p_prev, p_curr, a_prev = p_curr, p_next, a
-                if m == 0:
-                    acc += coeffs[l * (l + 1)] * p_curr
-                else:
-                    acc += p_curr * (
-                        coeffs[l * (l + 1) + m] * az_c + coeffs[l * (l + 1) - m] * az_s
-                    )
-        return acc
+        p = np.asarray(p, dtype=float)
+        x, y, z = (np.ascontiguousarray(p[..., j]).ravel() for j in range(3))
+        ct = np.clip(z, -1.0, 1.0)
+        re, im, next_re, next_im, q0, q1, tmp = (np.zeros_like(ct) for _ in range(7))
+        for m in range(lmax, -1, -1):
+            wc, ws, gamma = orders[m]
+            # (next_re, next_im) = (x + iy) (re + i im), the Horner step
+            np.multiply(x, re, out=next_re)
+            np.multiply(y, im, out=tmp)
+            np.subtract(next_re, tmp, out=next_re)
+            if m:
+                np.multiply(x, im, out=next_im)
+                np.multiply(y, re, out=tmp)
+                np.add(next_im, tmp, out=next_im)
+            # plus C_m - i S_m, summed along q_m = 1, q_{m+1} = z, ...
+            q0.fill(1.0)
+            np.copyto(q1, ct)
+            next_re += wc[0]
+            if m:
+                next_im += ws[0]
+            for j in range(1, wc.size):
+                if j > 1:
+                    np.multiply(ct, q1, out=tmp)
+                    np.multiply(q0, gamma[j - 1], out=q0)
+                    np.subtract(tmp, q0, out=q0)
+                    q0, q1 = q1, q0
+                np.multiply(q1, wc[j], out=tmp)
+                np.add(next_re, tmp, out=next_re)
+                if m:
+                    np.multiply(q1, ws[j], out=tmp)
+                    np.add(next_im, tmp, out=next_im)
+            re, next_re = next_re, re
+            im, next_im = next_im, im
+        return re.reshape(p.shape[:-1])
 
     return field
 

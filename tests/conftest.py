@@ -7,6 +7,7 @@ from cmsphere.fields import RotatingFrame, vortex_rate
 from cmsphere.geom import cart_to_sph, radial_project, rotation_matrix
 from cmsphere.mesh import _edge_geometry, locate_batch
 from cmsphere.spline import EDGE_ROWS, MacroSpline, build_coefficients
+from cmsphere.tracers import BELL_CENTERS, BELL_RADIUS
 
 
 def sample_sphere(n, seed):
@@ -46,6 +47,56 @@ def vortex_solution(flow, p, t):
     lam, theta = cart_to_sph(np.asarray(p, dtype=float) @ frame.matrix(t))
     rho = 3.0 * np.sin(theta)
     return 1.0 - np.tanh(0.2 * rho * np.sin(lam - vortex_rate(rho, flow.T) * t))
+
+
+def reference_sph_harmonics(seed=42, lmax=32):
+    """The random harmonic field of tracers.random_sph_harmonics, evaluated
+    term by term in (longitude, colatitude): each order m runs the
+    normalized three-term recurrence in l and multiplies every term by
+    cos(m lam) and sin(m lam)."""
+    coeffs = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(lmax + 1) ** 2)
+
+    def field(p):
+        lam, theta = cart_to_sph(p)
+        ct, st = np.cos(theta), np.sin(theta)
+        acc = np.zeros_like(ct)
+        pmm = np.full_like(ct, np.sqrt(0.25 / np.pi))
+        for m in range(lmax + 1):
+            if m > 0:
+                pmm = pmm * st * np.sqrt((2.0 * m + 1.0) / (2.0 * m))
+                az_c = np.sqrt(2.0) * np.cos(m * lam)
+                az_s = np.sqrt(2.0) * np.sin(m * lam)
+            p_prev = np.zeros_like(ct)
+            p_curr = pmm
+            a_prev = 0.0
+            for l in range(m, lmax + 1):
+                if l > m:
+                    a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+                    p_next = a * (ct * p_curr - (p_prev / a_prev if a_prev else 0.0))
+                    p_prev, p_curr, a_prev = p_curr, p_next, a
+                if m == 0:
+                    acc += coeffs[l * (l + 1)] * p_curr
+                else:
+                    acc += p_curr * (
+                        coeffs[l * (l + 1) + m] * az_c + coeffs[l * (l + 1) - m] * az_s
+                    )
+        return acc
+
+    return field
+
+
+def reference_cosine_bells(p):
+    """The two-bell field of tracers.cosine_bells, with arc distances from
+    the spherical law of cosines in (longitude, colatitude)."""
+    lam, theta = cart_to_sph(p)
+    g = []
+    for lam_i, theta_i in BELL_CENTERS:
+        c = np.cos(theta_i) * np.cos(theta) + np.sin(theta_i) * np.sin(theta) * np.cos(
+            lam - lam_i
+        )
+        r = np.arccos(np.clip(c, -1.0, 1.0))
+        g.append(np.where(r < BELL_RADIUS, 0.5 * (1.0 + np.cos(np.pi * r / BELL_RADIUS)), 0.0))
+    return 0.1 + 0.9 * (g[0] + g[1])
 
 
 def interpolate(mesh, values, d1, d2):

@@ -1,9 +1,13 @@
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import sample_sphere, vortex_solution
 
+import cmsphere
 from cmsphere import diagnostics
 from cmsphere.diagnostics import (
     CSV_HEADER,
@@ -103,6 +107,37 @@ def test_mass_quadrature_converges(empty):
         mass_integral(empty, 7)
 
 
+MASS_SCRIPT = """
+from cmsphere.diagnostics import mass_integral
+from cmsphere.evolve import CMConfig, run
+from cmsphere.fields import get_flow
+
+flow = get_flow("compressible", T=5.0)
+chain = run(flow.velocity, CMConfig(level=3, n_steps=18, t_final=flow.T))
+print(mass_integral(chain, 64).hex())
+"""
+
+
+def test_mass_bits_do_not_depend_on_blas_threads():
+    """The mass of a compressible chain has the same bits with one and two
+    OpenBLAS threads.
+
+    A BLAS dot product splits long sums across its threads, so its order
+    follows the thread count; this case differs in the last bits under
+    one. Each run sets OPENBLAS_NUM_THREADS before numpy loads. Under a
+    numpy built on another BLAS the variable does nothing and the test
+    passes trivially.
+    """
+    src = str(Path(cmsphere.__file__).resolve().parents[1])
+    bits = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", MASS_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True, timeout=300)
+        bits.append(done.stdout.strip())
+    assert bits[0] == bits[1]
+
+
 def test_convergence_slope():
     hs = np.array([0.4, 0.2, 0.1, 0.05])
     assert convergence_slope(hs, hs**2) == pytest.approx(2.0, abs=1e-12)
@@ -165,12 +200,12 @@ def test_chunked_evaluations_match_unchunked_formulas(rotation_run, monkeypatch)
     want = float(np.sum(err * w)) / float(np.sum(np.abs(exact(verts)) * w))
     assert l1_error(chain, phi0, exact, mesh4) == want
 
-    # mass: one dot product per chunk of quadrature nodes, added in order
+    # mass: one numpy sum per chunk of quadrature nodes, added in order
     W, p, tang = diagnostics._mass_nodes(16)
     total = 0.0
     for lo in range(0, len(W), 1000):
         s = slice(lo, lo + 1000)
-        total += float(np.dot(W[s], area_form(*chain.jet(p[s], tang[s]))))
+        total += float(np.sum(W[s] * area_form(*chain.jet(p[s], tang[s]))))
     assert mass_integral(chain, 16) == total / (4.0 * np.pi)
 
 

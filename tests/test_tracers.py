@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import reference_cosine_bells, reference_sph_harmonics
 
 from cmsphere.geom import sph_to_cart
 from cmsphere.tracers import (
@@ -39,14 +40,19 @@ def test_cosine_bells_values():
     f = cosine_bells()
     (lam1, th1), (lam2, th2) = BELL_CENTERS
     # centers are a third of pi apart, so each bell peaks alone
-    assert f(sph_to_cart(lam1, th1)) == pytest.approx(1.0, abs=1e-15)
-    assert f(sph_to_cart(lam2, th2)) == pytest.approx(1.0, abs=1e-15)
+    assert f(sph_to_cart(lam1, th1)) == 1.0
+    assert f(sph_to_cart(lam2, th2)) == 1.0
     # a quarter arc unit along the equator sits halfway down the bell
     halfway = sph_to_cart(lam1 - 0.25, th1)
-    assert f(halfway) == pytest.approx(0.55, abs=1e-14)
+    assert f(halfway) == pytest.approx(0.55, abs=1e-15)
     assert f(sph_to_cart(0.0, np.pi / 2)) == 0.1
     vals = f(random_points(20000, 0))
     assert vals.min() >= 0.1 and vals.max() <= 1.0
+
+
+def test_cosine_bells_match_law_of_cosines():
+    pts = random_points(1 << 16, 2)
+    assert np.abs(cosine_bells()(pts) - reference_cosine_bells(pts)).max() < 1e-14
 
 
 def test_zalesak_disk_cases():
@@ -79,6 +85,27 @@ def test_rsph_deterministic_and_chunked():
     assert np.array_equal(full, parts)
     other = random_sph_harmonics(seed=7, lmax=32)(pts[:100])
     assert np.abs(full[:100] - other).max() > 0.1
+
+
+def test_rsph_matches_term_by_term_reference():
+    lam = np.linspace(0.0, np.pi, 7)
+    theta = np.linspace(0.0, np.pi, 9)
+    special = np.array([
+        [0.0, 0.0, 1.0], [0.0, 0.0, -1.0],  # the exact poles
+        [-0.0, 0.0, 1.0], [0.0, -0.0, -1.0], [-0.0, -0.0, 1.0],
+        [1e-300, 0.0, 1.0], [1e-300, 0.0, -1.0],
+        [0.6, 0.0, 0.8], [0.6, -0.0, -0.8], [0.6, -1e-17, 0.8],  # the lam = 0 seam
+    ])
+    pts = np.concatenate([
+        random_points(1 << 17, 4),
+        special,
+        sph_to_cart(np.zeros_like(theta), theta),
+        sph_to_cart(lam, np.full_like(lam, 0.5 * np.pi)),
+    ])
+    want = reference_sph_harmonics(seed=42, lmax=32)(pts)
+    with np.errstate(all="raise"):
+        got = random_sph_harmonics(seed=42, lmax=32)(pts)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_rsph_energy_matches_coefficients():
