@@ -7,10 +7,12 @@ that map.
 
 Every flow but the compressible one is a rigid rotation plus, optionally, a
 field written in a frame that turns with it: u(p, t) = omega x p +
-R(t) u'(R(t)^T p, t). The deformational flow co-rotates its deformation
-with the tilted rigid part; the moving vortex sweeps its twin vortices
-about z at the rigid rate, and the static vortex is the same flow in a
-still frame (rate 0, so R(t) is exactly its fixed tilt).
+R(t) u'(R(t)^T p, t), where omega is the frame's own angular velocity.
+Solid body is the frame alone, with backward map p R(t). The deformational
+flow co-rotates its deformation with the tilted rigid part; the moving
+vortex sweeps its twin vortices about z at the rigid rate, and the static
+vortex is the same flow in a still frame (rate 0, so R(t) is exactly its
+fixed tilt). No velocity or exact map goes through angles.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .geom import _cross3, cart_to_sph, rotation_matrix, rotate_about_axis, sph_to_cart
+from .geom import _cross3, cart_to_sph, rotation_matrix
 from .tracers import cosine_bells
 
 _Z = np.array([0.0, 0.0, 1.0])
@@ -44,53 +46,48 @@ class Flow:
 
 @dataclass(frozen=True)
 class RotatingFrame:
-    """Time-dependent orthogonal frame R(t) = pre Rz(rate t) post."""
+    """Time-dependent orthogonal frame R(t) = pre Rz(rate t) post.
+
+    Its angular velocity omega = rate pre e_z is constant: R'(t) = [omega]x R(t).
+    """
 
     pre: np.ndarray
     rate: float
     post: np.ndarray
 
+    @property
+    def omega(self):
+        return self.rate * self.pre[:, 2]
+
     def matrix(self, t):
         return self.pre @ rotation_matrix(_Z, self.rate * t) @ self.post
-
-
-def _rx(angle):
-    return rotation_matrix(np.array([1.0, 0.0, 0.0]), angle)
 
 
 def _ry(angle):
     return rotation_matrix(np.array([0.0, 1.0, 0.0]), angle)
 
 
-def _tilted_axis(alpha):
-    """Unit rotation axis tilted from z toward x by alpha."""
-    return np.array([np.sin(alpha), 0.0, np.cos(alpha)])
-
-
-def _framed_velocity(omega, frame, local):
-    """Rigid rotation omega plus local(q, t), a field given in frame's
+def _framed_velocity(frame, local):
+    """The frame's rigid rotation plus local(q, t), a field given in its
     coordinates q = p R(t)."""
 
     def velocity(p, t):
         p = np.asarray(p, dtype=float)
         m = frame.matrix(t)
-        q = p @ m
-        return _cross3(omega, p) + local(q, t) @ m.T
+        return _cross3(frame.omega, p) + local(p @ m, t) @ m.T
 
     return velocity
 
 
 def solid_body(alpha=0.0, T=1.0):
     """Rigid rotation with one period over [0, T], axis tilted by alpha."""
-    rate = 2.0 * np.pi / T
-    axis = _tilted_axis(alpha)
-    omega = rate * axis
+    frame = RotatingFrame(pre=_ry(alpha), rate=2.0 * np.pi / T, post=_ry(-alpha))
 
     def velocity(p, t):
-        return _cross3(omega, np.asarray(p, dtype=float))
+        return _cross3(frame.omega, np.asarray(p, dtype=float))
 
     def exact_map(p, t):
-        return rotate_about_axis(p, axis, -rate * t)
+        return np.asarray(p, dtype=float) @ frame.matrix(t)
 
     return Flow(name="solid_body", T=T, velocity=velocity, exact_map=exact_map)
 
@@ -112,9 +109,8 @@ def deformational(alpha=0.0, T=5.0):
     The deformation is expressed in a frame co-rotating with the rigid
     part, so the two components stay aligned for every tilt alpha.
     """
-    rate = 2.0 * np.pi / T
-    frame = RotatingFrame(pre=_ry(alpha), rate=rate, post=np.eye(3))
-    velocity = _framed_velocity(rate * _tilted_axis(alpha), frame, partial(_deform_prime, T=T))
+    frame = RotatingFrame(pre=_ry(alpha), rate=2.0 * np.pi / T, post=np.eye(3))
+    velocity = _framed_velocity(frame, partial(_deform_prime, T=T))
     return Flow(name="deformational", T=T, velocity=velocity, reversing=True)
 
 
@@ -151,18 +147,20 @@ def _vortex_initial(p, frame0):
 def _vortex_flow(name, T, rate):
     """Twin vortices on the equator, their frame turning about z at rate;
     runs start from the vortex field."""
-    frame = RotatingFrame(pre=np.eye(3), rate=rate, post=_rx(-0.5 * np.pi))
+    post = rotation_matrix(np.array([1.0, 0.0, 0.0]), -0.5 * np.pi)
+    frame = RotatingFrame(pre=np.eye(3), rate=rate, post=post)
 
     def exact_map(p, t):
-        q = np.asarray(p, dtype=float) @ frame.matrix(t)
-        lam, theta = cart_to_sph(q)
-        w = vortex_rate(3.0 * np.sin(theta), T)
-        return sph_to_cart(lam - w * t, theta) @ frame.matrix(0.0).T
+        # each primed point turns back about z' by its own vortex angle
+        x, y, z = np.moveaxis(np.asarray(p, dtype=float) @ frame.matrix(t), -1, 0)
+        angle = vortex_rate(3.0 * np.hypot(x, y), T) * t
+        c, s = np.cos(angle), np.sin(angle)
+        return np.stack([c * x + s * y, c * y - s * x, z], axis=-1) @ frame.matrix(0.0).T
 
     return Flow(
         name=name,
         T=T,
-        velocity=_framed_velocity(rate * _Z, frame, partial(_vortex_prime, T=T)),
+        velocity=_framed_velocity(frame, partial(_vortex_prime, T=T)),
         exact_map=exact_map,
         initial=partial(_vortex_initial, frame0=frame.matrix(0.0)),
     )
@@ -183,20 +181,18 @@ def compressible(T=1.0):
 
     The angular rates are lam_dot = u sin(theta), theta_dot = v with
     u = -sin^2(lam/2) sin(2 theta) sin^2(theta) cos(pi t / T) and
-    v = (1/2) sin(lam) sin^3(theta) cos(pi t / T).
+    v = (1/2) sin(lam) sin^3(theta) cos(pi t / T). With s = sin(theta) =
+    hypot(x, y), x = s cos(lam) and y = s sin(lam), the field is
+    cos(pi t / T) s [(x - s) z s^2 (-y, x, 0) + (1/2) y (z x, z y, -s^2)]:
+    no angle, no division and no pole case.
     """
 
     def velocity(p, t):
-        p = np.asarray(p, dtype=float)
-        lam, theta = cart_to_sph(p)
-        st, ct = np.sin(theta), np.cos(theta)
-        sl, cl = np.sin(lam), np.cos(lam)
-        amp = np.cos(np.pi * t / T)
-        u = -np.sin(0.5 * lam) ** 2 * (2.0 * st * ct) * st**2 * amp
-        v = 0.5 * sl * st**3 * amp
-        e_lam = np.stack([-sl, cl, np.zeros_like(sl)], axis=-1)
-        e_theta = np.stack([ct * cl, ct * sl, -st], axis=-1)
-        return (u * st**2)[..., None] * e_lam + v[..., None] * e_theta
+        x, y, z = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
+        s = np.hypot(x, y)
+        a = np.cos(np.pi * t / T) * s
+        u, v = a * (x - s) * z * s * s, a * 0.5 * y
+        return np.stack([v * z * x - u * y, u * x + v * z * y, -v * s * s], axis=-1)
 
     return Flow(name="compressible", T=T, velocity=velocity, reversing=True)
 

@@ -122,11 +122,6 @@ def rotation_matrix(axis, angle):
     return np.eye(3) * c + np.outer([x, y, z], [x, y, z]) * (1.0 - c) + k * s
 
 
-def rotate_about_axis(p, axis, angle):
-    """Rotate points about an axis through the origin."""
-    return np.asarray(p, dtype=float) @ rotation_matrix(axis, angle).T
-
-
 def vertex_frames(base):
     """Deterministic orthonormal tangent frames at unit points.
 

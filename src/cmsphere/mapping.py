@@ -142,30 +142,35 @@ def load_chain(path, mesh=None):
     Raises
     ------
     ValueError
-        If a key is missing, or the format, level, coefficient shape or
-        breaks do not fit the layout save_chain writes.
+        Before any mesh is built, if a key is missing or does not fit the
+        layout save_chain writes: one integer each for format and level,
+        finite non-decreasing breaks and finite float64 coefficients.
     """
     with np.load(path) as z:
         missing = [k for k in ("format", "level", "breaks", "coeffs") if k not in z.files]
         if missing:
             raise ValueError("chain file lacks %s" % ", ".join(missing))
-        if int(z["format"]) != _CHAIN_FORMAT:
-            raise ValueError("unknown chain format %r" % int(z["format"]))
-        level = int(z["level"])
-        if not 0 <= level <= MAX_LEVEL:
-            raise ValueError("chain refinement %d outside [0, %d]" % (level, MAX_LEVEL))
-        breaks = [float(t) for t in z["breaks"]]
-        coeffs = z["coeffs"]
+        fmt, level, breaks, coeffs = (z[k] for k in ("format", "level", "breaks", "coeffs"))
+    if any(a.shape != () or a.dtype.kind not in "iu" for a in (fmt, level)):
+        raise ValueError("chain format and level must be single integers")
+    if int(fmt) != _CHAIN_FORMAT:
+        raise ValueError("unknown chain format %r" % int(fmt))
+    level = int(level)
+    if not 0 <= level <= MAX_LEVEL:
+        raise ValueError("chain refinement %d outside [0, %d]" % (level, MAX_LEVEL))
     if mesh is not None and mesh.level != level:
         raise ValueError("chain was saved at refinement %d, mesh is %d" % (level, mesh.level))
-    # Checked before the mesh is built: a level-k mesh has 20 * 4**k triangles.
+    # A level-k mesh has 20 * 4**k triangles.
     n_triangles = 20 * 4**level
     if coeffs.shape != coeffs.shape[:1] + (n_triangles, 19, 3):
         raise ValueError("chain coefficients have shape %s, want (n_maps, %d, 19, 3)"
                          % (coeffs.shape, n_triangles))
-    if len(breaks) != len(coeffs) + 1 or np.any(np.diff(breaks) < 0.0):
-        raise ValueError("chain breaks must be %d non-decreasing times" % (len(coeffs) + 1))
+    if coeffs.dtype != np.float64 or not np.isfinite(coeffs).all():
+        raise ValueError("chain coefficients must be finite float64, not %s" % coeffs.dtype)
+    if (breaks.dtype.kind not in "iuf" or breaks.shape != (len(coeffs) + 1,)
+            or not np.isfinite(breaks).all() or np.any(breaks[1:] < breaks[:-1])):
+        raise ValueError("chain breaks must be %d finite non-decreasing times" % (len(coeffs) + 1))
     if mesh is None:
         mesh = build_icosahedral(level)
     maps = [SphereMap(MacroSpline(mesh, c)) for c in coeffs]
-    return MapChain(mesh=mesh, maps=maps, breaks=breaks)
+    return MapChain(mesh=mesh, maps=maps, breaks=breaks.astype(float).tolist())

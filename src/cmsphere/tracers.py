@@ -55,16 +55,19 @@ def zalesak_disks():
     r = BELL_RADIUS
 
     def field(p):
-        lam, theta = cart_to_sph(p)
+        p = np.asarray(p, dtype=float)
         _, inside = _bell_chords(p)
-        in1 = inside[..., 0]
-        in2 = inside[..., 1]
-        d1 = np.abs(lam - lam1)
-        d2 = np.abs(lam - lam2)
-        hit = (in1 & (d1 >= r / 6.0)) | (in2 & (d2 >= r / 6.0))
-        hit |= in1 & (d1 < r / 6.0) & (theta - theta1 < -r * 5.0 / 12.0)
-        hit |= in2 & (d2 < r / 6.0) & (theta - theta2 > r * 5.0 / 12.0)
-        return np.where(hit, 1.0, 0.1)
+        # angles and slot tests only for the points inside a disk
+        near = inside.any(axis=-1)
+        lam, theta = cart_to_sph(p[near])
+        in1, in2 = inside[near].T
+        band1 = np.abs(lam - lam1) < r / 6.0
+        band2 = np.abs(lam - lam2) < r / 6.0
+        hit = in1 & (~band1 | (theta - theta1 < -r * 5.0 / 12.0))
+        hit |= in2 & (~band2 | (theta - theta2 > r * 5.0 / 12.0))
+        out = np.full(near.shape, 0.1)
+        out[near] = np.where(hit, 1.0, 0.1)
+        return out
 
     return field
 

@@ -7,7 +7,7 @@ from cmsphere.fields import RotatingFrame, vortex_rate
 from cmsphere.geom import cart_to_sph, radial_project, rotation_matrix
 from cmsphere.mesh import _edge_geometry, locate_batch
 from cmsphere.spline import EDGE_ROWS, MacroSpline, build_coefficients
-from cmsphere.tracers import BELL_CENTERS, BELL_RADIUS
+from cmsphere.tracers import BELL_CENTERS, BELL_RADIUS, _bell_chords
 
 
 def sample_sphere(n, seed):
@@ -47,6 +47,42 @@ def vortex_solution(flow, p, t):
     lam, theta = cart_to_sph(np.asarray(p, dtype=float) @ frame.matrix(t))
     rho = 3.0 * np.sin(theta)
     return 1.0 - np.tanh(0.2 * rho * np.sin(lam - vortex_rate(rho, flow.T) * t))
+
+
+def reference_compressible_velocity(T):
+    """The velocity of fields.compressible in its spherical form: the
+    angular rates times the unit vectors e_lam and e_theta, all from
+    (longitude, colatitude), with longitude 0 at the poles."""
+
+    def velocity(p, t):
+        lam, theta = cart_to_sph(np.asarray(p, dtype=float))
+        st, ct = np.sin(theta), np.cos(theta)
+        sl, cl = np.sin(lam), np.cos(lam)
+        amp = np.cos(np.pi * t / T)
+        u = -np.sin(0.5 * lam) ** 2 * (2.0 * st * ct) * st**2 * amp
+        v = 0.5 * sl * st**3 * amp
+        e_lam = np.stack([-sl, cl, np.zeros_like(sl)], axis=-1)
+        e_theta = np.stack([ct * cl, ct * sl, -st], axis=-1)
+        return (u * st**2)[..., None] * e_lam + v[..., None] * e_theta
+
+    return velocity
+
+
+def reference_zalesak_disks(p):
+    """The slotted-disk field of tracers.zalesak_disks with longitude and
+    colatitude taken at every point, inside a disk or not."""
+    (lam1, theta1), (lam2, theta2) = BELL_CENTERS
+    r = BELL_RADIUS
+    lam, theta = cart_to_sph(p)
+    _, inside = _bell_chords(p)
+    in1 = inside[..., 0]
+    in2 = inside[..., 1]
+    d1 = np.abs(lam - lam1)
+    d2 = np.abs(lam - lam2)
+    hit = (in1 & (d1 >= r / 6.0)) | (in2 & (d2 >= r / 6.0))
+    hit |= in1 & (d1 < r / 6.0) & (theta - theta1 < -r * 5.0 / 12.0)
+    hit |= in2 & (d2 < r / 6.0) & (theta - theta2 > r * 5.0 / 12.0)
+    return np.where(hit, 1.0, 0.1)
 
 
 def reference_sph_harmonics(seed=42, lmax=32):

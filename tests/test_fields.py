@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import sample_sphere, vortex_solution
+from conftest import reference_compressible_velocity, sample_sphere, vortex_solution
 
 from cmsphere.evolve import rk4_backstep
 from cmsphere.fields import (
@@ -59,6 +59,50 @@ def test_rotating_frame_is_orthogonal():
         m = frame.matrix(t)
         assert np.abs(m.T @ m - np.eye(3)).max() < 1e-13
         assert abs(np.linalg.det(m) - 1.0) < 1e-13
+
+
+def test_frame_omega_is_its_angular_velocity():
+    # R'(t) R(t)^T is the cross-product matrix of omega
+    frame = RotatingFrame(
+        pre=rotation_matrix(np.array([0.3, 1.0, -0.2]), 0.8),
+        rate=2.0 * np.pi / 1.7,
+        post=rotation_matrix(np.array([1.0, 0.0, 0.0]), -0.5 * np.pi),
+    )
+    x, y, z = frame.omega
+    skew = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    h = 1e-5
+    for t in (0.0, 0.21, 0.9):
+        diff = (frame.matrix(t + h) - frame.matrix(t - h)) / (2.0 * h) @ frame.matrix(t).T
+        assert np.abs(diff - skew).max() < 1e-8
+
+
+def test_solid_body_map_is_axis_rotation(points):
+    for alpha, T in ((0.0, 1.0), (1.05, 1.0), (0.5 * np.pi, 2.0), (-0.4, 3.0)):
+        flow = solid_body(alpha, T)
+        axis = np.array([np.sin(alpha), 0.0, np.cos(alpha)])
+        for t in (0.0, 0.31 * T, T):
+            want = points @ rotation_matrix(axis, -2.0 * np.pi / T * t).T
+            assert np.abs(flow.exact_map(points, t) - want).max() < 1e-15, (alpha, T, t)
+
+
+def test_vortex_maps_start_at_identity():
+    p = sample_sphere(1 << 18, seed=19)
+    for flow in (static_vortex(1.0), moving_vortex(1.0), moving_vortex(2.0)):
+        assert np.abs(flow.exact_map(p, 0.0) - p).max() < 4e-16, flow.name
+
+
+def test_compressible_matches_spherical_form():
+    # the Cartesian field against the angle form, across the lam = 0 seam,
+    # at both poles and next to them
+    theta = np.linspace(0.0, np.pi, 101)
+    seam = np.stack([np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=-1)
+    nudge = np.array([0.0, 1e-17, 0.0])
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1e-300, 0.0, 1.0], [1e-300, 0.0, -1.0]])
+    p = np.concatenate([sample_sphere(1 << 16, seed=23), seam, seam + nudge, seam - nudge, poles])
+    for T in (1.0, 5.0):
+        flow, oracle = compressible(T), reference_compressible_velocity(T)
+        for t in (0.0, 0.13 * T, 0.5 * T, 0.81 * T):
+            assert np.abs(flow.velocity(p, t) - oracle(p, t)).max() < 2e-15, (T, t)
 
 
 def test_exact_maps_match_integration(points):

@@ -13,7 +13,6 @@ from cmsphere.geom import (
     great_circle_distance,
     project_differential,
     radial_project,
-    rotate_about_axis,
     rotation_matrix,
     sph_to_cart,
     vertex_frames,
@@ -87,14 +86,6 @@ def test_rotation_matrix_properties():
         assert np.max(np.abs(m @ u - u)) < 1e-14
     with pytest.raises(ZeroVector):
         rotation_matrix(np.zeros(3), 0.3)
-
-
-def test_rotate_about_axis_matches_matrix():
-    pts = random_units(50, 5)
-    axis = np.array([0.2, -0.7, 0.4])
-    got = rotate_about_axis(pts, axis, 1.1)
-    want = pts @ rotation_matrix(axis, 1.1).T
-    assert np.array_equal(got, want)
 
 
 def test_vertex_frames_orthonormal():

@@ -165,6 +165,8 @@ def test_load_rejects_mismatched_mesh(tmp_path, mesh):
         ((2, 80, 19, 3), [0.0, 1.0]),  # one break short
         ((2, 80, 19, 3), [0.0, 2.0, 1.0]),  # decreasing breaks
         ((0, 80, 19, 3), []),  # empty chain without its 0.0
+        ((1, 80, 19, 3), [0.0, np.nan]),  # a NaN break
+        ((1, 80, 19, 3), [[0.0, 1.0]]),  # 2-D breaks
     ],
 )
 def test_load_rejects_malformed_chain(tmp_path, n_coeffs, breaks):
@@ -184,6 +186,12 @@ def test_load_rejects_malformed_chain(tmp_path, n_coeffs, breaks):
         dict(level=1, breaks=[0.0], coeffs=np.zeros((0, 80, 19, 3))),  # no format
         dict(format=1, level=1, breaks=[0.0]),  # no coefficients
         dict(format=1, level=8, breaks=[0.0], coeffs=np.zeros((0, 80, 19, 3))),  # shape off level 8
+        dict(format=[1], level=1, breaks=[0.0], coeffs=np.zeros((0, 80, 19, 3))),  # 1-D format
+        dict(format=1, level=[1], breaks=[0.0], coeffs=np.zeros((0, 80, 19, 3))),  # 1-D level
+        dict(format=1, level=0.5, breaks=[0.0], coeffs=np.zeros((0, 20, 19, 3))),  # float level
+        dict(format=1, level=1, breaks=[0.0, 1.0], coeffs=np.zeros((1, 80, 19, 3), dtype=np.int64)),
+        dict(format=1, level=1, breaks=[0.0, 1.0], coeffs=np.full((1, 80, 19, 3), "0")),
+        dict(format=1, level=1, breaks=[0.0, 1.0], coeffs=np.full((1, 80, 19, 3), np.nan)),
     ],
 )
 def test_load_rejects_bad_level_or_missing_keys(tmp_path, monkeypatch, fields):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import reference_cosine_bells, reference_sph_harmonics
+from conftest import reference_cosine_bells, reference_sph_harmonics, reference_zalesak_disks
 
 from cmsphere.geom import sph_to_cart
 from cmsphere.tracers import (
@@ -72,6 +72,10 @@ def test_zalesak_disk_cases():
         assert f(sph_to_cart(lam, th)) == expect
     vals = f(random_points(20000, 1))
     assert set(np.unique(vals)) <= {0.1, 1.0}
+    # angles taken only inside a disk give the all-points field bit for bit
+    probe_pts = sph_to_cart(*np.array([(lam, th) for lam, th, _ in probes]).T)
+    for pts in (probe_pts, random_points(1 << 16, 7)):
+        assert np.array_equal(f(pts), reference_zalesak_disks(pts))
 
 
 def test_rsph_deterministic_and_chunked():
