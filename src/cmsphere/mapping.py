@@ -91,7 +91,7 @@ class MapChain:
     def _walk(self, p, tangents=None):
         """Push points, and tangents (n, q, 3) if given, through the submaps
         newest first."""
-        out = np.asarray(p, dtype=float)
+        out = np.ascontiguousarray(p, dtype=float)
         for m in reversed(self.maps):
             if tangents is None:
                 out = m.eval(out)
@@ -106,7 +106,7 @@ class MapChain:
     def eval_with_jacobian(self, p):
         """Mapped points (n, 3) of unit points p (n, 3) and the chained
         Jacobian determinants (n,); an empty chain gives exact ones."""
-        p = np.asarray(p, dtype=float)
+        p = np.ascontiguousarray(p, dtype=float)
         if not self.maps:
             return p, np.ones(p.shape[0])
         out, t = self._walk(p, np.stack(vertex_frames(p), axis=1))
@@ -118,7 +118,7 @@ class MapChain:
         p : (n, 3); tangents : (n, q, 3). Returns (points, tangents) of the
         same shapes. An empty chain returns the inputs unchanged.
         """
-        return self._walk(p, np.asarray(tangents, dtype=float))
+        return self._walk(p, np.ascontiguousarray(tangents, dtype=float))
 
 
 def save_chain(chain, path):

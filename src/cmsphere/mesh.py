@@ -448,7 +448,7 @@ def locate_batch(mesh, p, start=None):
     LocationFailure
         If a walk exceeds 4 * n_triangles steps.
     """
-    p = np.asarray(p, dtype=float)
+    p = np.ascontiguousarray(p, dtype=float)
     if start is None:
         return _locate_from(mesh, p, _grid_seed(mesh, p))
     tri, sub = start[0].copy(), start[1].copy()

@@ -4,8 +4,8 @@ Each macro triangle carries 19 quadratic coefficients assembled from vertex
 values and tangent-frame gradient components. The six sub-triangles share
 these coefficients through the layout in mesh.SUB_COEF, which enforces C1
 joins across all interior spokes; C1 across macro edges follows from the
-placement of the edge split points. Splines store them row-major, one
-contiguous (n_triangles, m) slab per coefficient row.
+placement of the edge split points. Splines store them component-major,
+so every operation runs on contiguous rows of triangles or of points.
 
 Polynomials are evaluated in spherical barycentric coordinates, which need
 not sum to one. Values use de Casteljau recursion; directional derivatives
@@ -34,70 +34,79 @@ EDGE_ROWS = np.array(
 
 def build_coefficients(mesh, values, d1, d2):
     """Coefficient array (n_triangles, 19, m) for vertex Hermite data, a
-    transposed view of a row-major (19, n_triangles, m) buffer.
+    transposed view of a component-major (m, 19, n_triangles) buffer.
 
     values, d1, d2 have shape (n_vertices, m); d1 and d2 are the
     derivatives along the mesh vertex frames g1 and g2.
     """
     tris = mesh.triangles
-    g1, g2, cos, half_sin, r, s, w = (x[..., None] for x in (
-        mesh.ring_g1, mesh.ring_g2, mesh.ring_cos, mesh.ring_half_sin, *mesh.rs, mesh.center_bary))
-    c = np.empty((19, tris.shape[0], values.shape[1]))
+    g1, g2, cos, half_sin, (r, s), w = (
+        mesh.ring_g1, mesh.ring_g2, mesh.ring_cos, mesh.ring_half_sin, mesh.rs, mesh.center_bary)
+    values, d1, d2 = (np.ascontiguousarray(x.T) for x in (values, d1, d2))
+    c = np.empty((values.shape[0], 19, tris.shape[0]))
     for a in range(3):
-        f_a, d1_a, d2_a = (np.take(x, tris[:, a], axis=0) for x in (values, d1, d2))
-        c[a] = f_a
+        f_a, d1_a, d2_a = (np.take(x, tris[:, a], axis=1) for x in (values, d1, d2))
+        c[:, a] = f_a
         # Row 3 + 3 * corner + target, targets in mesh.RING_TARGETS order:
         # cos * f + half_sin * (derivative of f toward the target).
         for b in range(3):
             de = d1_a * g1[a, b] + d2_a * g2[a, b]
-            c[3 + 3 * a + b] = cos[a, b] * f_a + half_sin[a, b] * de
+            c[:, 3 + 3 * a + b] = cos[a, b] * f_a + half_sin[a, b] * de
     for row, (edge, i, j) in enumerate(EDGE_ROWS, start=12):
-        c[row] = r[edge] * c[i] + s[edge] * c[j]
-    c[18] = w[0] * c[4] + w[1] * c[7] + w[2] * c[10]
-    return c.transpose(1, 0, 2)
+        c[:, row] = r[edge] * c[:, i] + s[edge] * c[:, j]
+    c[:, 18] = w[0] * c[:, 4] + w[1] * c[:, 7] + w[2] * c[:, 10]
+    return c.transpose(2, 1, 0)
 
 
 class MacroSpline:
     """A C1 quadratic spline over a macro-split spherical triangulation;
-    coeffs (n_triangles, 19, m) is a view of the row-major buffer _rows."""
+    coeffs (n_triangles, 19, m) views its (m, 19, n_triangles) buffer _slabs."""
 
     def __init__(self, mesh, coeffs):
         self.mesh = mesh
-        self._rows = np.ascontiguousarray(coeffs.transpose(1, 0, 2))
-        self.coeffs = self._rows.transpose(1, 0, 2)
+        self._slabs = np.ascontiguousarray(coeffs.transpose(2, 1, 0))
+        self.coeffs = self._slabs.transpose(2, 1, 0)
 
     def _first_stage(self, tri, sub, bary):
-        """Gather each point's six sub-triangle coefficients and run the
-        first de Casteljau stage, giving three (n, m) partial values."""
-        _, n_tris, m = self._rows.shape
-        flat = self._rows.reshape(-1, m)
-        cf = np.take(flat, np.take(SUB_COEF.T * n_tris, sub, axis=1) + tri, axis=0)
-        b1 = bary[:, 0, None]
-        b2 = bary[:, 1, None]
-        b3 = bary[:, 2, None]
-        e1 = b1 * cf[0] + b2 * cf[3] + b3 * cf[5]
-        e2 = b1 * cf[3] + b2 * cf[1] + b3 * cf[4]
-        e3 = b1 * cf[5] + b2 * cf[4] + b3 * cf[2]
-        return e1, e2, e3
+        """Gather each point's six sub-triangle coefficients, one (m, n) row
+        each, and run the first de Casteljau stage: the barycentric rows
+        (3, n) and three (m, n) partial values."""
+        m, _, n_tris = self._slabs.shape
+        slabs, rows = self._slabs.reshape(m, -1), SUB_COEF * n_tris
+        c = [np.take(slabs, np.take(rows[:, i], sub) + tri, axis=1) for i in range(6)]
+        b, tmp = np.ascontiguousarray(bary.T), np.empty_like(c[0])
+        # Each partial value overwrites its first operand, which no later one reads.
+        e1 = _combine(b, c[0], c[3], c[5], c[0], tmp)
+        e2 = _combine(b, c[3], c[1], c[4], c[3], tmp)
+        return b, e1, e2, _combine(b, c[5], c[4], c[2], c[5], tmp)
 
     def eval_located(self, tri, sub, bary):
-        """Values at already-located points, shape (n, m)."""
-        return _last_stage(bary, *self._first_stage(tri, sub, bary))
+        """Values at already-located points, shape (n, m), C order."""
+        b, e1, e2, e3 = self._first_stage(tri, sub, bary)
+        return np.ascontiguousarray(_combine(b, e1, e2, e3, e1, np.empty_like(e1)).T)
 
     def derivative_located(self, tri, sub, bary, g):
         """Values (n, m), bit-identical to eval_located's, and derivatives
-        along directions g (n, q, 3), shape (n, q, m), at located points;
-        the values and every direction share one gather and stage."""
-        e1, e2, e3 = self._first_stage(tri, sub, bary)
+        along directions g (n, q, 3), shape (n, q, m), both in C order, at
+        located points; the values and every direction share one gather."""
+        b, e1, e2, e3 = self._first_stage(tri, sub, bary)
         sub_inv = self.mesh.sub_inv.reshape(-1, 3, 3)
         bg = np.einsum("nij,nqj->nqi", np.take(sub_inv, tri * 6 + sub, axis=0), g)
-        return _last_stage(bary, e1, e2, e3), 2.0 * (
-            bg[..., 0, None] * e1[:, None]
-            + bg[..., 1, None] * e2[:, None]
-            + bg[..., 2, None] * e3[:, None]
-        )
+        ders, tmp = np.empty(bg.shape[:2] + e1.shape[:1]), np.empty_like(e1)
+        for j in range(bg.shape[1]):  # through direction j's (m, n) view of ders
+            _combine(bg[:, j].T, e1, e2, e3, ders[:, j].T, tmp)
+        ders *= 2.0
+        del bg  # before the values' output copy, which sets the peak otherwise
+        return np.ascontiguousarray(_combine(b, e1, e2, e3, e1, tmp).T), ders
 
 
-def _last_stage(bary, e1, e2, e3):
-    """The last de Casteljau stage: values (n, m) from the partial values."""
-    return bary[:, 0, None] * e1 + bary[:, 1, None] * e2 + bary[:, 2, None] * e3
+def _combine(b, x, y, z, out, tmp):
+    """(b[0] x + b[1] y) + b[2] z into out, which may be x, with (n,) rows
+    b[i] against (m, n) rows x, y, z and scratch tmp of out's shape."""
+    np.multiply(b[0], x, out=out)
+    np.multiply(b[1], y, out=tmp)
+    out += tmp
+    np.multiply(b[2], z, out=tmp)
+    out += tmp
+    return out
+

@@ -5,7 +5,7 @@ import numpy as np
 from cmsphere.diagnostics import _chunk_points, _per_chunk
 from cmsphere.fields import RotatingFrame, vortex_rate
 from cmsphere.geom import cart_to_sph, radial_project, rotation_matrix
-from cmsphere.mesh import _edge_geometry, locate_batch
+from cmsphere.mesh import SUB_COEF, _edge_geometry, locate_batch
 from cmsphere.spline import EDGE_ROWS, MacroSpline, build_coefficients
 from cmsphere.tracers import BELL_CENTERS, BELL_RADIUS, _bell_chords
 
@@ -147,7 +147,7 @@ def interpolate(mesh, values, d1, d2):
 def reference_coefficients(mesh, values, d1, d2):
     """Coefficients (n_triangles, 19, m) built triangle-major, with the mesh
     constants moved back to triangle-first axes: the oracle for the
-    row-major build, which must equal it bit for bit."""
+    component-major build, which must equal it bit for bit."""
     tris = mesh.triangles
     ring_cos, ring_half_sin, ring_g1, ring_g2 = (
         x.transpose(2, 0, 1)
@@ -175,6 +175,45 @@ def reference_coefficients(mesh, values, d1, d2):
         a[:, 0, None] * c[:, 4] + a[:, 1, None] * c[:, 7] + a[:, 2, None] * c[:, 10]
     )
     return c
+
+
+class RowMajorSpline:
+    """The row-major located kernels, the oracle for MacroSpline's
+    component-major ones, which must equal them bit for bit: one (n, m)
+    slab per gathered coefficient row."""
+
+    def __init__(self, spline):
+        self.mesh = spline.mesh
+        self._rows = np.ascontiguousarray(spline.coeffs.transpose(1, 0, 2))
+
+    def _first_stage(self, tri, sub, bary):
+        _, n_tris, m = self._rows.shape
+        flat = self._rows.reshape(-1, m)
+        cf = np.take(flat, np.take(SUB_COEF.T * n_tris, sub, axis=1) + tri, axis=0)
+        b1 = bary[:, 0, None]
+        b2 = bary[:, 1, None]
+        b3 = bary[:, 2, None]
+        e1 = b1 * cf[0] + b2 * cf[3] + b3 * cf[5]
+        e2 = b1 * cf[3] + b2 * cf[1] + b3 * cf[4]
+        e3 = b1 * cf[5] + b2 * cf[4] + b3 * cf[2]
+        return e1, e2, e3
+
+    def eval_located(self, tri, sub, bary):
+        return _row_last_stage(bary, *self._first_stage(tri, sub, bary))
+
+    def derivative_located(self, tri, sub, bary, g):
+        e1, e2, e3 = self._first_stage(tri, sub, bary)
+        sub_inv = self.mesh.sub_inv.reshape(-1, 3, 3)
+        bg = np.einsum("nij,nqj->nqi", np.take(sub_inv, tri * 6 + sub, axis=0), g)
+        return _row_last_stage(bary, e1, e2, e3), 2.0 * (
+            bg[..., 0, None] * e1[:, None]
+            + bg[..., 1, None] * e2[:, None]
+            + bg[..., 2, None] * e3[:, None]
+        )
+
+
+def _row_last_stage(bary, e1, e2, e3):
+    return bary[:, 0, None] * e1 + bary[:, 1, None] * e2 + bary[:, 2, None] * e3
 
 
 def evaluate(spline, p):

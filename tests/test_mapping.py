@@ -4,9 +4,11 @@ from conftest import sample_sphere
 
 from cmsphere import mapping
 from cmsphere.errors import ZeroVector
+from cmsphere.evolve import CMConfig, run
+from cmsphere.fields import get_flow
 from cmsphere.geom import area_form, rotation_matrix, vertex_frames
 from cmsphere.mapping import MapChain, SphereMap, load_chain, save_chain
-from cmsphere.mesh import build_icosahedral
+from cmsphere.mesh import build_icosahedral, locate_batch
 from cmsphere.spline import MacroSpline
 
 
@@ -101,6 +103,21 @@ def test_entry_points_share_one_walk(mesh, points):
     oa, ob = vertex_frames(out)
     m = np.einsum("nqj,nrj->nqr", pushed, np.stack([oa, ob], axis=1))
     assert np.abs(dets - np.linalg.det(m)).max() < 1e-13
+
+
+def test_results_do_not_depend_on_memory_order(mesh, points):
+    # einsum sums a Fortran-ordered or strided operand in another order, so
+    # points are made C-contiguous before they reach it
+    flow = get_flow("moving_vortex")
+    chain = run(flow.velocity, CMConfig(level=3, n_steps=20, t_final=flow.T, remap_stride=5))
+    wide = np.zeros((len(points), 6))
+    wide[:, ::2] = points
+    want = locate_batch(mesh, points), chain.eval(points), chain.eval_with_jacobian(points)
+    for p in (np.asfortranarray(points), wide[:, ::2]):
+        got = locate_batch(mesh, p), chain.eval(p), chain.eval_with_jacobian(p)
+        for a, b in zip(got[0] + got[2], want[0] + want[2]):
+            assert np.array_equal(a, b)
+        assert np.array_equal(got[1], want[1])
 
 
 def test_collapsed_value_raises(mesh):

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import (
+    RowMajorSpline,
     bernstein_value,
     derivative,
     edge_jumps,
@@ -153,9 +156,9 @@ def test_derivative_values_are_eval_values(level, m):
 
 
 def test_constructor_paths_agree_and_share_one_buffer(mesh):
-    # A spline given build_coefficients' view keeps its buffer; one given a
-    # triangle-major array, as load_chain passes, converts it once and must
-    # evaluate bit for bit the same
+    # A spline given build_coefficients' view keeps its component-major
+    # buffer; one given a triangle-major array, as load_chain passes,
+    # converts it once and must evaluate bit for bit the same
     rng = np.random.default_rng(21)
     values, d1, d2 = rng.standard_normal((3, mesh.n_vertices, 3))
     built = MacroSpline(mesh, build_coefficients(mesh, values, d1, d2))
@@ -168,5 +171,49 @@ def test_constructor_paths_agree_and_share_one_buffer(mesh):
         assert np.array_equal(a, b)
     for sp in (built, copied):
         assert np.array_equal(sp.coeffs, built.coeffs)
-        assert sp._rows.flags.c_contiguous
-        assert np.shares_memory(sp.coeffs, sp._rows)
+        assert sp._slabs.shape == (3, 19, mesh.n_triangles)
+        assert sp._slabs.flags.c_contiguous
+        assert np.shares_memory(sp.coeffs, sp._slabs)
+
+
+@pytest.mark.parametrize("level", range(5))
+@pytest.mark.parametrize("m", [1, 3])
+def test_kernels_match_row_major_oracle(level, m):
+    # The component-major kernels keep every product and sum of the
+    # row-major ones, and hand back C-contiguous arrays, whose later einsum
+    # column sums would round otherwise
+    mesh = build_icosahedral(level)
+    rng = np.random.default_rng(level + 10 * m)
+    sp = MacroSpline(mesh, build_coefficients(mesh, *rng.standard_normal((3, mesh.n_vertices, m))))
+    oracle = RowMajorSpline(sp)
+    for pts in (sample_sphere(5000, seed=level), mesh.vertices):
+        located = locate_batch(mesh, pts)
+        g = rng.standard_normal((len(pts), 2, 3))
+        got = (sp.eval_located(*located), *sp.derivative_located(*located, g))
+        want = (oracle.eval_located(*located), *oracle.derivative_located(*located, g))
+        for a, b in zip(got, want):
+            assert a.flags.c_contiguous
+            assert a.shape == b.shape
+            assert np.array_equal(a, b)
+
+
+def _peak_bytes(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_memory_peaks_stay_within_row_major(mesh):
+    # 2^16 points is the diagnostics' evaluation chunk, the batch that
+    # their eval_with_jacobian calls hand to derivative_located
+    rng = np.random.default_rng(4)
+    sp = MacroSpline(mesh, build_coefficients(mesh, *rng.standard_normal((3, mesh.n_vertices, 3))))
+    oracle = RowMajorSpline(sp)
+    located = locate_batch(mesh, sample_sphere(2**16, seed=6))
+    g = rng.standard_normal((2**16, 2, 3))
+    for kernel, args in (("eval_located", located), ("derivative_located", (*located, g))):
+        assert (_peak_bytes(lambda: getattr(sp, kernel)(*args))
+                <= _peak_bytes(lambda: getattr(oracle, kernel)(*args))), kernel
