@@ -11,6 +11,10 @@ of it: they start from its fresh location, or from where they were when it
 kept its sub-triangle, so steady stencils do not walk at all. On the k = 5
 deformational benchmark this cuts the share of footpoints that walk each
 step from 64% to 16%.
+
+The probes are contiguous (3, n) component rows passed as their (n, 3)
+transposed view; elementwise ops keep that layout, so the RK4 stages,
+their projections and the footpoints are rows too, not stride-3 columns.
 """
 
 from dataclasses import dataclass
@@ -68,7 +72,9 @@ def run(u, config, mesh=None):
     ----------
     u : callable or flow object
         Velocity as u(points, t) -> (n, 3); an object with a velocity
-        attribute works too.
+        attribute works too. points arrive as the (n, 3) transposed view
+        of (3, n) component rows, and the result may have any memory
+        order.
     config : CMConfig
     mesh : SphereMesh, optional
         Reused if given, built from config.level otherwise. Its level must
@@ -92,9 +98,10 @@ def run(u, config, mesh=None):
     elif mesh.level != config.level:
         raise ValueError("config is at refinement %d, mesh is %d" % (config.level, mesh.level))
 
-    # Corner-major rows: corner c of vertex i is row c * nv + i, so the
-    # first corners are the contiguous head of every footpoint array.
-    probes = build_stencils(mesh, EPSILON).transpose(1, 0, 2).reshape(-1, 3)
+    # Corner-major points: corner c of vertex i is point c * nv + i, so the
+    # first corners are the head of every footpoint array.
+    stencils = build_stencils(mesh, EPSILON)
+    probes = np.ascontiguousarray(stencils.transpose(2, 1, 0)).reshape(3, -1).T
     nv = mesh.n_vertices
     dt = config.t_final / config.n_steps
 

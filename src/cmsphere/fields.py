@@ -13,6 +13,10 @@ flow co-rotates its deformation with the tilted rigid part; the moving
 vortex sweeps its twin vortices about z at the rigid rate, and the static
 vortex is the same flow in a still frame (rate 0, so R(t) is exactly its
 fixed tilt). No velocity or exact map goes through angles.
+
+Velocities work on the (3, n) component rows p.T of their (n, 3) points,
+so evolve.run's (n, 3) views of contiguous rows come back as rows; any
+memory order gives the same bits.
 """
 
 from dataclasses import dataclass, field
@@ -69,12 +73,12 @@ def _ry(angle):
 
 def _framed_velocity(frame, local):
     """The frame's rigid rotation plus local(q, t), a field given in its
-    coordinates q = p R(t)."""
+    coordinates q = p R(t), on (3, n) component rows."""
 
     def velocity(p, t):
         p = np.asarray(p, dtype=float)
         m = frame.matrix(t)
-        return _cross3(frame.omega, p) + local(p @ m, t) @ m.T
+        return _cross3(frame.omega, p) + (m @ local(m.T @ p.T, t)).T
 
     return velocity
 
@@ -93,13 +97,14 @@ def solid_body(alpha=0.0, T=1.0):
 
 
 def _deform_prime(q, t, T):
-    """Deformation velocity in its co-rotating frame, rows of q primed."""
-    amp = 4.0 * np.cos(np.pi * t / T) * q[..., 1]
+    """Deformation velocity in its co-rotating frame, on the (3, n)
+    component rows q of the primed points."""
+    amp = 4.0 * np.cos(np.pi * t / T) * q[1]
     out = np.empty(np.shape(q))
-    np.multiply(amp, -q[..., 2], out=out[..., 0])
-    # amp * 0.0 keeps the sign of zero and NaN of the scaled zero column
-    np.multiply(amp, 0.0, out=out[..., 1])
-    np.multiply(amp, q[..., 0], out=out[..., 2])
+    np.multiply(amp, -q[2], out=out[0])
+    # amp * 0.0 keeps the sign of zero and NaN of the scaled zero row
+    np.multiply(amp, 0.0, out=out[1])
+    np.multiply(amp, q[0], out=out[2])
     return out
 
 
@@ -128,12 +133,12 @@ def vortex_rate(rho, T):
 
 def _vortex_prime(q, t, T):
     """Vortex velocity in its own frame, steady: azimuthal rotation at
-    vortex_rate."""
-    w = vortex_rate(3.0 * np.hypot(q[..., 0], q[..., 1]), T)
+    vortex_rate, on the (3, n) component rows q of the primed points."""
+    w = vortex_rate(3.0 * np.hypot(q[0], q[1]), T)
     out = np.empty(np.shape(q))
-    np.multiply(w, -q[..., 1], out=out[..., 0])
-    np.multiply(w, q[..., 0], out=out[..., 1])
-    np.multiply(w, 0.0, out=out[..., 2])
+    np.multiply(w, -q[1], out=out[0])
+    np.multiply(w, q[0], out=out[1])
+    np.multiply(w, 0.0, out=out[2])
     return out
 
 
@@ -188,11 +193,11 @@ def compressible(T=1.0):
     """
 
     def velocity(p, t):
-        x, y, z = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
+        x, y, z = np.asarray(p, dtype=float).T
         s = np.hypot(x, y)
         a = np.cos(np.pi * t / T) * s
         u, v = a * (x - s) * z * s * s, a * 0.5 * y
-        return np.stack([v * z * x - u * y, u * x + v * z * y, -v * s * s], axis=-1)
+        return np.stack([v * z * x - u * y, u * x + v * z * y, -v * s * s]).T
 
     return Flow(name="compressible", T=T, velocity=velocity, reversing=True)
 

@@ -1,7 +1,7 @@
 """Geometry primitives on the embedded unit sphere.
 
 All routines work on Cartesian coordinates with arrays shaped (..., 3), so
-the same code serves single points and large batches.
+the same code serves single points and large batches, in any memory order.
 """
 
 import numpy as np
@@ -20,7 +20,10 @@ _E3 = np.array([0.0, 0.0, 1.0])
 # a per-row overhead for three elements; these combine the columns in the
 # order it does, so they are bit-identical to min(axis=-1),
 # np.linalg.norm(axis=-1), np.sum(p * q, axis=-1) and np.cross, NaN
-# included, and broadcast the same way.
+# included, and broadcast the same way. Their outputs follow the input's
+# layout: on the (n, 3) view of (3, n) component rows every column is a
+# contiguous row, and _cross3 allocates F-ordered for an F-ordered q and
+# C-ordered otherwise, so C in gives C out and rows in give rows out.
 
 
 def _min3(x):
@@ -36,7 +39,7 @@ def _dot3(p, q):
 
 
 def _cross3(p, q):
-    out = np.empty(np.broadcast(p, q).shape)
+    out = np.empty_like(q, dtype=float, order="A", shape=np.broadcast(p, q).shape)
     p0, p1, p2 = p[..., 0], p[..., 1], p[..., 2]
     q0, q1, q2 = q[..., 0], q[..., 1], q[..., 2]
     out[..., 0] = p1 * q2 - p2 * q1
@@ -82,7 +85,10 @@ def project_differential(xi, w):
 
 
 def area_form(x, t):
-    """Area form x . (t0 x t1) of tangent pairs t (n, 2, 3) at points x (n, 3)."""
+    """Area form x . (t0 x t1) of tangent pairs t (n, 2, 3) at points x (n, 3).
+
+    MapChain's walk hands it C-ordered copies, and _cross3 keeps C order:
+    einsum's bits depend on the memory order of its operands."""
     return np.einsum("ij,ij->i", x, _cross3(t[:, 0], t[:, 1]))
 
 

@@ -1,3 +1,4 @@
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -47,6 +48,67 @@ def vortex_solution(flow, p, t):
     lam, theta = cart_to_sph(np.asarray(p, dtype=float) @ frame.matrix(t))
     rho = 3.0 * np.sin(theta)
     return 1.0 - np.tanh(0.2 * rho * np.sin(lam - vortex_rate(rho, flow.T) * t))
+
+
+def _row_framed_velocity(frame, local):
+    """fields._framed_velocity in its (n, 3) row form: local takes and
+    returns (n, 3) rows of primed points."""
+
+    def velocity(p, t):
+        p = np.asarray(p, dtype=float)
+        m = frame.matrix(t)
+        return np.cross(frame.omega, p) + local(p @ m, t) @ m.T
+
+    return velocity
+
+
+def _row_deform_prime(q, t, T):
+    amp = 4.0 * np.cos(np.pi * t / T) * q[..., 1]
+    out = np.empty(np.shape(q))
+    np.multiply(amp, -q[..., 2], out=out[..., 0])
+    np.multiply(amp, 0.0, out=out[..., 1])
+    np.multiply(amp, q[..., 0], out=out[..., 2])
+    return out
+
+
+def _row_vortex_prime(q, t, T):
+    w = vortex_rate(3.0 * np.hypot(q[..., 0], q[..., 1]), T)
+    out = np.empty(np.shape(q))
+    np.multiply(w, -q[..., 1], out=out[..., 0])
+    np.multiply(w, q[..., 0], out=out[..., 1])
+    np.multiply(w, 0.0, out=out[..., 2])
+    return out
+
+
+def _row_compressible(T):
+    def velocity(p, t):
+        x, y, z = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
+        s = np.hypot(x, y)
+        a = np.cos(np.pi * t / T) * s
+        u, v = a * (x - s) * z * s * s, a * 0.5 * y
+        return np.stack([v * z * x - u * y, u * x + v * z * y, -v * s * s], axis=-1)
+
+    return velocity
+
+
+def reference_velocity(name, alpha=0.0, T=1.0):
+    """The velocity of fields.FLOWS[name](alpha=..., T=...) (vortices and
+    compressible take T only) in its (n, 3) row form, every component a
+    column q[..., i]: the oracle for the fields' (3, n) component-row
+    forms, which must equal it bit for bit."""
+    ry = lambda angle: rotation_matrix(np.array([0.0, 1.0, 0.0]), angle)
+    if name == "compressible":
+        return _row_compressible(T)
+    if name in ("static_vortex", "moving_vortex"):
+        rate = 2.0 * np.pi / T if name == "moving_vortex" else 0.0
+        post = rotation_matrix(np.array([1.0, 0.0, 0.0]), -0.5 * np.pi)
+        frame = RotatingFrame(pre=np.eye(3), rate=rate, post=post)
+        return _row_framed_velocity(frame, partial(_row_vortex_prime, T=T))
+    if name == "deformational":
+        frame = RotatingFrame(pre=ry(alpha), rate=2.0 * np.pi / T, post=np.eye(3))
+        return _row_framed_velocity(frame, partial(_row_deform_prime, T=T))
+    frame = RotatingFrame(pre=ry(alpha), rate=2.0 * np.pi / T, post=ry(-alpha))
+    return lambda p, t: np.cross(frame.omega, np.asarray(p, dtype=float))
 
 
 def reference_compressible_velocity(T):

@@ -3,13 +3,13 @@ import time
 
 import numpy as np
 import pytest
-from conftest import pullback_density, sample_sphere
+from conftest import pullback_density, reference_velocity, sample_sphere
 
 from cmsphere import evolve
 from cmsphere.diagnostics import pullback_tracer
 from cmsphere.errors import NonFiniteState
 from cmsphere.evolve import CMConfig, rk4_backstep, run
-from cmsphere.fields import deformational, moving_vortex, solid_body
+from cmsphere.fields import FLOWS, deformational, moving_vortex, solid_body
 from cmsphere.geom import radial_project, rotation_matrix, vertex_frames
 from cmsphere.mapping import SphereMap
 from cmsphere.mesh import build_icosahedral, locate_batch
@@ -147,6 +147,40 @@ def test_warm_location_is_bit_identical(flow, cfg, monkeypatch):
     assert warm.n_submaps == cold.n_submaps == windows
     for a, b in zip(warm.maps, cold.maps):
         assert np.array_equal(a.spline.coeffs, b.spline.coeffs)
+
+
+@pytest.mark.parametrize(
+    "name, params, cfg",
+    [
+        ("deformational", dict(alpha=1.05, T=1.0), CMConfig(level=3, n_steps=10, t_final=1.0)),
+        ("moving_vortex", dict(T=1.0),
+         CMConfig(level=2, n_steps=12, t_final=1.0, remap_stride=4)),
+    ],
+    ids=["deformational_k3", "moving_vortex_k2_remap"],
+)
+def test_component_rows_chain_matches_row_oracle(name, params, cfg):
+    # the run's probes are (n, 3) views of (3, n) rows; its chain equals,
+    # bit for bit, the one the (n, 3) row form of the velocity gives
+    mesh = build_icosahedral(cfg.level)
+    flow = FLOWS[name](**params)
+    rows = run(flow, cfg, mesh)
+    oracle = run(reference_velocity(name, **params), cfg, mesh)
+    assert rows.n_submaps == oracle.n_submaps
+    for a, b in zip(rows.maps, oracle.maps):
+        assert np.array_equal(a.spline.coeffs, b.spline.coeffs)
+
+
+def test_rk4_on_row_view_probes_matches_c_order():
+    mesh = build_icosahedral(3)
+    stencils = build_stencils(mesh, EPSILON)
+    c_probes = stencils.transpose(1, 0, 2).reshape(-1, 3)
+    row_probes = np.ascontiguousarray(stencils.transpose(2, 1, 0)).reshape(3, -1).T
+    assert np.array_equal(c_probes, row_probes) and row_probes.flags.f_contiguous
+    for name, make in FLOWS.items():
+        flow = make()
+        want = rk4_backstep(flow.velocity, c_probes, 0.6 * flow.T, 0.05 * flow.T)
+        got = rk4_backstep(flow.velocity, row_probes, 0.6 * flow.T, 0.05 * flow.T)
+        assert got.shape == want.shape and np.array_equal(got, want), name
 
 
 def corner_stencils(anchors, eps):

@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
-from conftest import reference_compressible_velocity, sample_sphere, vortex_solution
+from conftest import (
+    reference_compressible_velocity,
+    reference_velocity,
+    sample_sphere,
+    vortex_solution,
+)
 
 from cmsphere.evolve import rk4_backstep
 from cmsphere.fields import (
@@ -40,6 +45,42 @@ ALL_FLOWS = [
     moving_vortex(1.0),
     compressible(1.0),
 ]
+
+
+# Each flow's parameters for the layout test, tilted where a flow has a tilt.
+FLOW_PARAMS = {
+    "solid_body": dict(alpha=0.4, T=1.0),
+    "deformational": dict(alpha=1.05, T=5.0),
+    "static_vortex": dict(T=1.0),
+    "moving_vortex": dict(T=2.0),
+    "compressible": dict(T=1.0),
+}
+
+
+@pytest.fixture(scope="module")
+def layouts():
+    """One point set, as many rows as a level-6 run's probes, in the
+    layouts a velocity may receive: C-ordered, F-ordered (the (n, 3) view
+    of (3, n) component rows that evolve.run passes) and strided."""
+    p = sample_sphere(163848, seed=31)
+    wide = np.empty((p.shape[0], 5))
+    wide[:, 1:4] = p
+    return {"C": p, "F": np.ascontiguousarray(p.T).T, "strided": wide[:, 1:4]}
+
+
+@pytest.mark.parametrize("name", sorted(FLOW_PARAMS))
+def test_velocity_matches_row_oracle_in_every_layout(name, layouts):
+    # the component-row velocities equal their (n, 3) row forms bit for
+    # bit, whatever the memory order of the points, and keep the (n, 3)
+    # shape
+    assert sorted(FLOW_PARAMS) == sorted(FLOWS)
+    params = FLOW_PARAMS[name]
+    flow, oracle = FLOWS[name](**params), reference_velocity(name, **params)
+    for layout, p in layouts.items():
+        for t in (0.0, 0.29 * flow.T, 0.5 * flow.T, 0.83 * flow.T):
+            u = flow.velocity(p, t)
+            assert u.shape == p.shape, (layout, t)
+            assert np.array_equal(u, oracle(p, t)), (layout, t)
 
 
 def test_velocity_tangency(points):
