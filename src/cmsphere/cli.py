@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import time
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -265,7 +266,11 @@ def _write_image(path, values):
     vmax = float(np.max(values))
     img = np.zeros(values.shape, dtype=np.uint8)
     if not vmax - vmin < 1e-300:
-        img = np.round(255.0 * (values - vmin) / (vmax - vmin)).astype(np.uint8)
+        # 255 (values - vmin) / (vmax - vmin), rounded, on one float copy
+        scaled = values - vmin
+        scaled *= 255.0
+        scaled /= vmax - vmin
+        img = np.round(scaled, out=scaled).astype(np.uint8)
     magic = b"P5"
     if path.endswith(".ppm"):
         img, magic = _LUT[img], b"P6"
@@ -274,23 +279,26 @@ def _write_image(path, values):
         f.write(img.tobytes())
 
 
-def _equirect_grid(n_theta, n_lam=None):
-    if n_lam is None:
-        n_lam = 2 * n_theta
+def _equirect_grid(n_theta, n_lam, lo, hi):
+    """Centres of the pixels [lo, hi), counted row by row, of an n_theta x
+    n_lam equirectangular grid, shape (hi - lo, 3)."""
     lam = (np.arange(n_lam) + 0.5) * 2.0 * np.pi / n_lam
     theta = _POLE_INSET + (np.arange(n_theta) + 0.5) * (
         np.pi - 2.0 * _POLE_INSET
     ) / n_theta
-    LAM, TH = np.meshgrid(lam, theta)
-    return sph_to_cart(LAM, TH)
+    i, j = np.divmod(np.arange(lo, hi), n_lam)
+    return sph_to_cart(lam[j], theta[i])
 
 
-def _window_grid(center_lam, center_theta, width, res):
+def _window_grid(center_lam, center_theta, width, res, lo, hi):
+    """Pixels [lo, hi), counted row by row, of a res x res window of the
+    given width in the tangent plane at the centre, projected to the
+    sphere, shape (hi - lo, 3)."""
     c = sph_to_cart(center_lam, center_theta)
     g1, g2 = vertex_frames(c)
     s = np.linspace(-0.5 * width, 0.5 * width, res)
-    A, B = np.meshgrid(s, -s)
-    return radial_project(c + A[..., None] * g1 + B[..., None] * g2)
+    i, j = np.divmod(np.arange(lo, hi), res)
+    return radial_project(c + s[j, None] * g1 + (-s)[i, None] * g2)
 
 
 # subcommands
@@ -371,11 +379,14 @@ def cmd_render(ns):
         chain = MapChain(mesh=None)
     else:
         chain, _ = _evolve(flow, _config(ns, t_final))
+    # Each chunk of pixels builds its own points, so only the values are whole.
+    res = ns.resolution
     if ns.width is not None:
-        pts = _window_grid(ns.center_lam, ns.center_theta, ns.width, ns.resolution)
+        grid = partial(_window_grid, ns.center_lam, ns.center_theta, ns.width, res)
+        shape = (res, res)
     else:
-        pts = _equirect_grid(ns.resolution)
-    values = diag.pullback_tracer(chain, phi0, pts)
+        grid, shape = partial(_equirect_grid, res, 2 * res), (res, 2 * res)
+    values = diag.pullback_tracer(chain, phi0, grid, shape)
     _write_image(ns.out, values)
     print("wrote %s (%dx%d)" % (ns.out, values.shape[1], values.shape[0]))
     if ns.csv:
@@ -390,9 +401,10 @@ def cmd_mixing(ns):
     t_half = ns.t if ns.t is not None else 0.5 * flow.T
     chain, _ = _evolve(flow, _config(ns, t_half))
     q1, q2 = correlated_pair()
-    pts = _equirect_grid(ns.resolution, ns.resolution).reshape(-1, 3)
-    # Both tracers read one chain walk per point.
-    a, b = diag.pullback_tracer(chain, lambda foot: np.stack([q1(foot), q2(foot)], -1), pts).T
+    res = ns.resolution
+    # Both tracers read one chain walk per point; each chunk builds its points.
+    a, b = diag.pullback_tracer(chain, lambda foot: np.stack([q1(foot), q2(foot)], -1),
+                                partial(_equirect_grid, res, res), (res * res,)).T
     resid = float(np.max(np.abs(b - (-0.8 * a * a + 0.9))))
     _write_table(ns.out, "q1,q2", "%.17g,%.17g", zip(a, b))
     print("wrote %s (%d points), correlation residual %.3e" % (ns.out, a.size, resid))

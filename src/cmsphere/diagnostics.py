@@ -3,11 +3,10 @@ quadrature, and convergence-rate estimation.
 
 Every evaluation runs over fixed slices of _CHUNK points, so its working
 memory does not grow with the point count; random samples come from one
-seeded (seed, index) stream per chunk. Reductions run in fixed chunk order, so results are
-bit-identical whether the chunks run serially or on the CMM_THREADS pool.
-The one exception is evaluate_run, which walks each sample chunk through
-the chain once for its three sample norms and so holds every chunk's
-footpoints, 24 bytes per sample, for the length of the call.
+seeded (seed, index) stream per chunk. Reductions run in fixed chunk order,
+so results are bit-identical whether the chunks run serially or on the
+CMM_THREADS pool. evaluate_run draws and walks each sample chunk once for
+its three sample norms and keeps five floats per chunk.
 """
 
 import os
@@ -56,49 +55,65 @@ def _per_chunk(work, n):
         return list(ex.map(lambda b: work(*b), bounds))
 
 
-def _per_point(fn, points):
-    """fn applied to points (..., 3) chunk by chunk. fn maps (m, 3) points
-    to (m, ...) values; the result has the points' leading shape."""
-    flat = np.asarray(points, dtype=float).reshape(-1, 3)
-    out = np.concatenate(_per_chunk(lambda i, lo, hi: fn(flat[lo:hi]), flat.shape[0])
+def _per_point(fn, points, shape=None):
+    """fn applied to points (..., 3) chunk by chunk. With shape, points is
+    instead a function points(lo, hi) that builds the flat range [lo, hi)
+    of a grid of that leading shape, so each chunk makes its own points.
+    fn maps (m, 3) points to (m, ...) values; the result has the points'
+    leading shape."""
+    if shape is None:
+        shape = np.shape(points)[:-1]
+        flat = np.asarray(points, dtype=float).reshape(-1, 3)
+        points = lambda lo, hi: flat[lo:hi]  # noqa: E731
+    out = np.concatenate(_per_chunk(lambda i, lo, hi: fn(points(lo, hi)), int(np.prod(shape)))
                          or [np.empty(0)])
-    return out.reshape(np.shape(points)[:-1] + out.shape[1:])
+    return out.reshape(tuple(shape) + out.shape[1:])
 
 
-def pullback_tracer(chain, tracer, points):
+def pullback_tracer(chain, tracer, points, shape=None):
     """Transported tracer values at points (..., 3): the initial field
-    along the backward map."""
-    return _per_point(lambda p: tracer(chain.eval(p)), points)
+    along the backward map. With shape, points is a function of a flat
+    range of a grid, as in _per_point."""
+    return _per_point(lambda p: tracer(chain.eval(p)), points, shape)
 
 
-def _max_over_samples(fn, n_samples, seed):
-    """Elementwise max of fn(i, points) over the chunks i of n_samples
-    random points."""
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise ValueError("need at least one sample, got %d" % n_samples)
-    results = _per_chunk(lambda i, lo, hi: fn(i, _chunk_points(seed, i, hi - lo)), n_samples)
+def _chunk_max(results):
+    """Elementwise max of per-chunk results, in chunk order."""
     out = results[0]
     for r in results[1:]:
         out = np.maximum(out, r)
     return out
 
 
-def linf_error(chain, phi0, exact, n_samples=1_000_000, seed=0, *, feet=None):
+def _over_samples(fn, n_samples, seed):
+    """fn(points) for each chunk of n_samples random points, in chunk order."""
+    n_samples = int(n_samples)
+    if n_samples < 1:
+        raise ValueError("need at least one sample, got %d" % n_samples)
+    return _per_chunk(lambda i, lo, hi: fn(_chunk_points(seed, i, hi - lo)), n_samples)
+
+
+def _linf_parts(phi0, exact, pts, foot):
+    ref = exact(pts)
+    return np.array([np.max(np.abs(phi0(foot) - ref)), np.max(np.abs(ref))])
+
+
+def _map_parts(exact_map, pts, foot):
+    return np.max(np.abs(foot - exact_map(pts)), axis=0)
+
+
+def linf_error(chain, phi0, exact, n_samples=1_000_000, seed=0, *, parts=None):
     """Relative sup error of the transported tracer at random points.
 
     Normalized by the sup of |exact| over the same points; a vanishing
-    reference leaves the error unnormalized. feet, if given, is the memo
-    density_error filled for the same samples: each chunk's footpoints are
-    taken from it, and removed, in place of a chain walk.
+    reference leaves the error unnormalized. parts, if given, holds each
+    sample chunk's (max error, max |exact|), as density_error's chunks
+    computed them for evaluate_run, and is reduced in place of a walk.
     """
-
-    def fn(i, pts):
-        ref = exact(pts)
-        num = np.abs(phi0(chain.eval(pts) if feet is None else feet.pop(i)) - ref)
-        return np.array([np.max(num), np.max(np.abs(ref))])
-
-    m = _max_over_samples(fn, n_samples, seed)
+    if parts is None:
+        parts = _over_samples(lambda pts: _linf_parts(phi0, exact, pts, chain.eval(pts)),
+                              n_samples, seed)
+    m = _chunk_max(parts)
     den = m[1] if m[1] > _TINY else 1.0
     return float(m[0] / den)
 
@@ -113,31 +128,30 @@ def l1_error(chain, phi0, exact, mesh):
     return float(np.sum(err * w)) / (den if den > _TINY else 1.0)
 
 
-def map_error(chain, exact_map, n_samples=1_000_000, seed=0, *, feet=None):
+def map_error(chain, exact_map, n_samples=1_000_000, seed=0, *, parts=None):
     """Componentwise sup distance between the chain and an exact map;
-    feet, if given, supplies each chunk's footpoints as in linf_error,
-    but keeps them."""
-
-    def fn(i, pts):
-        foot = chain.eval(pts) if feet is None else feet[i]
-        return np.max(np.abs(foot - exact_map(pts)), axis=0)
-
-    return _max_over_samples(fn, n_samples, seed)
+    parts, if given, holds each sample chunk's componentwise max, as in
+    linf_error."""
+    if parts is None:
+        parts = _over_samples(lambda pts: _map_parts(exact_map, pts, chain.eval(pts)),
+                              n_samples, seed)
+    return _chunk_max(parts)
 
 
-def density_error(chain, n_samples=1_000_000, seed=0, *, feet=None):
+def density_error(chain, n_samples=1_000_000, seed=0, *, also=None):
     """Sup of |1 - J| at random points; the exact J is 1 for volume
     preserving maps, including any map at the end of a retracing flow.
-    feet, if given, is a dict that receives each chunk's footpoints, keyed
-    by chunk index, for map_error and linf_error on the same samples."""
+    also, if given, is a pair (fn, out): each chunk also computes
+    fn(points, footpoints), and out receives the results in chunk order."""
 
-    def fn(i, pts):
+    def fn(pts):
         foot, jac = chain.eval_with_jacobian(pts)
-        if feet is not None:
-            feet[i] = foot
-        return np.array([np.max(np.abs(1.0 - jac))])
+        return np.max(np.abs(1.0 - jac)), None if also is None else also[0](pts, foot)
 
-    return float(_max_over_samples(fn, n_samples, seed)[0])
+    parts = _over_samples(fn, n_samples, seed)
+    if also is not None:
+        also[1].extend(extra for _, extra in parts)
+    return float(_chunk_max([jac for jac, _ in parts]))
 
 
 def _mass_nodes(n_cells):
@@ -279,12 +293,14 @@ def evaluate_run(flow, chain, n_steps, tracer_name=None, t=None,
     phi0 = initial_tracer(flow, tracer_name)
     exact = reference_solution(flow, phi0, t)
     mass = mass_integral(chain, mass_cells)
-    # One chain walk per sample chunk: density_error stores the footpoints
-    # (24 bytes per sample), map_error reads them, linf_error empties the memo.
-    feet = {}
-    density_err = density_error(chain, n_samples, seed, feet=feet)
-    map_err = tuple(map_error(chain, xref, n_samples, seed, feet=feet))
-    linf = linf_error(chain, phi0, exact, n_samples, seed, feet=feet)
+    # One draw and chain walk per sample chunk: density_error's chunks also
+    # take the other two norms' chunk maxima, which those norms reduce.
+    parts = []
+    density_err = density_error(chain, n_samples, seed, also=(
+        lambda pts, foot: (_map_parts(xref, pts, foot), _linf_parts(phi0, exact, pts, foot)),
+        parts))
+    map_err = tuple(map_error(chain, xref, n_samples, seed, parts=[m for m, _ in parts]))
+    linf = linf_error(chain, phi0, exact, n_samples, seed, parts=[e for _, e in parts])
     return ErrorReport(
         test=flow.name,
         k=chain.mesh.level,

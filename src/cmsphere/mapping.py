@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ZeroVector
-from .geom import _norm3, area_form, project_differential, vertex_frames
+from .geom import _copy_columns, _norm3, area_form, project_differential, vertex_frames
 from .mesh import MAX_LEVEL, build_icosahedral, locate_batch
 from .spline import MacroSpline, build_coefficients
 
@@ -70,6 +70,13 @@ class SphereMap:
         return out, project_differential(raw[:, None, :], w)
 
 
+def _frame_rows(p):
+    """The vertex frames of points p (n, 3), computed on (3, n) rows, as the
+    (n, 2, 3) view of (2, 3, n) rows, the layout derivative_located reads."""
+    g1, g2 = vertex_frames(_copy_columns(p, np.empty(p.shape, order="F")))
+    return np.stack([g1.T, g2.T]).transpose(2, 0, 1)
+
+
 @dataclass
 class MapChain:
     """Backward map as a composition of per-window submaps.
@@ -109,16 +116,19 @@ class MapChain:
         p = np.ascontiguousarray(p, dtype=float)
         if not self.maps:
             return p, np.ones(p.shape[0])
-        out, t = self._walk(p, np.stack(vertex_frames(p), axis=1))
+        out, t = self._walk(p, _frame_rows(p))
         return out, area_form(out, t)
 
     def jet(self, p, tangents):
         """Push points and per-point tangent bundles through the chain.
 
         p : (n, 3); tangents : (n, q, 3). Returns (points, tangents) of the
-        same shapes. An empty chain returns the inputs unchanged.
+        same shapes, the tangents as the view of (q, 3, n) rows. An empty
+        chain returns the points unchanged and the tangents' values.
         """
-        return self._walk(p, np.ascontiguousarray(tangents, dtype=float))
+        n, q, _ = np.shape(tangents)
+        rows = np.empty((q, 3, n)).transpose(2, 0, 1)
+        return self._walk(p, _copy_columns(np.asarray(tangents, dtype=float), rows))
 
 
 def save_chain(chain, path):

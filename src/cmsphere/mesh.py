@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTriangle, LocationFailure, RefinementTooDeep
-from .geom import (_cross3, _dot3, _min3, _norm3, cart_to_sph, great_circle_distance,
-                   radial_project, vertex_frames)
+from .geom import (_copy_columns, _cross3, _dot3, _min3, _norm3, cart_to_sph,
+                   great_circle_distance, radial_project, vertex_frames)
 
 MAX_LEVEL = 8
 
@@ -66,6 +66,7 @@ _BARY_TOL = 1e-12
 # barycentrics scale differently from one triangle to the next.
 _KEEP_MARGIN = 1e-10
 _GRID_SENTINEL = np.iinfo(np.int64).max
+_CENTRE_BLOCK = 1 << 14
 
 
 @dataclass
@@ -252,6 +253,26 @@ def _build_grid(centers, cells_theta, cells_lam):
     return grid
 
 
+def _centre_grid(mesh):
+    """An int32 grid of twice the cells per axis of the mesh's barycenter
+    grid, holding per cell a triangle that contains the cell's centre
+    point. Each centre walks, in blocks of _CENTRE_BLOCK cells, from the
+    coarse cell it lies in. Points seeded there walk less, and their
+    locations do not depend on the seed."""
+    cells = 2 * mesh.grid_start.shape[0]
+    seeds = np.repeat(np.repeat(mesh.grid_start, 2, axis=0), 2, axis=1).ravel()
+    centre = (np.arange(cells) + 0.5) * (np.pi / cells)
+    st, ct, sl, cl = np.sin(centre), np.cos(centre), np.sin(2.0 * centre), np.cos(2.0 * centre)
+    grid = np.empty(cells * cells, dtype=np.int32)
+    for lo in range(0, grid.size, _CENTRE_BLOCK):
+        it, il = np.divmod(np.arange(lo, min(lo + _CENTRE_BLOCK, grid.size)), cells)
+        p = np.stack([st[it] * cl[il], st[it] * sl[il], ct[it]], axis=1)
+        cur = seeds[lo:lo + len(p)].copy()
+        _walk(mesh, p, cur)
+        grid[lo:lo + len(p)] = cur
+    return grid.reshape(cells, cells)
+
+
 def build_icosahedral(level):
     """Build the level-times refined icosahedral triangulation.
 
@@ -268,6 +289,15 @@ def build_icosahedral(level):
         raise RefinementTooDeep(
             "refinement level %r outside [0, %d]" % (level, MAX_LEVEL)
         )
+    mesh = _triangulate(level)
+    # Walked once the build's temporaries are gone, so they add no peak.
+    mesh.grid_start = _centre_grid(mesh)
+    return mesh
+
+
+def _triangulate(level):
+    """The mesh of build_icosahedral, seeding walks from the grid of the
+    barycenters."""
     verts, tris = _icosahedron()
     for _ in range(level):
         verts, tris = _refine_once(verts, tris)
@@ -311,7 +341,6 @@ def build_icosahedral(level):
     center_bary = np.ascontiguousarray(np.einsum("tij,tj->ti", macro_inv, centers).T)
 
     cells = int(min(256, max(8, 2 ** (level + 2))))
-    grid = _build_grid(centers, cells, cells)
     # Incident triangles of each vertex in ascending order, the lowest one
     # repeated where a vertex has only five.
     order = np.argsort(tris.ravel(), kind="stable")
@@ -336,13 +365,13 @@ def build_icosahedral(level):
         ring_half_sin=ring_half_sin,
         ring_g1=ring_g1,
         ring_g2=ring_g2,
-        grid_start=grid,
+        grid_start=_build_grid(centers, cells, cells),
         vertex_tris=vertex_tris,
     )
 
 
 def _grid_seed(mesh, p):
-    return mesh.grid_start[_grid_cell(p, *mesh.grid_start.shape)]
+    return mesh.grid_start[_grid_cell(p, *mesh.grid_start.shape)].astype(np.int64)
 
 
 def _macro_bary(mesh, tri, p):
@@ -420,12 +449,12 @@ def locate_batch(mesh, p, start=None):
     that contains the point within 1e-12, chosen among the incident
     triangles of its nearest corner, so it does not depend on the start.
 
-    Without start, walks begin at a lat-long grid of triangles. With
-    start, a point whose barycentrics in its start sub-triangle all exceed
-    1e-10 keeps it and the others walk from their start triangle; the
-    result is exactly that of a call without start, so any start is
-    correct and a nearby one is fast: the points' previous location, or a
-    neighbouring point's fresh one.
+    Without start, walks begin at the triangle that contains the centre of
+    the point's lat-long grid cell. With start, a point whose barycentrics
+    in its start sub-triangle all exceed 1e-10 keeps it and the others
+    walk from their start triangle; the result is exactly that of a call
+    without start, so any start is correct and a nearby one is fast: the
+    points' previous location, or a neighbouring point's fresh one.
 
     Parameters
     ----------
@@ -448,7 +477,9 @@ def locate_batch(mesh, p, start=None):
     LocationFailure
         If a walk exceeds 4 * n_triangles steps.
     """
-    p = np.ascontiguousarray(p, dtype=float)
+    p = np.asarray(p, dtype=float)
+    if not p.flags.c_contiguous:  # for the einsums, which sum by memory order
+        p = _copy_columns(p, np.empty(p.shape))
     if start is None:
         return _locate_from(mesh, p, _grid_seed(mesh, p))
     tri, sub = start[0].copy(), start[1].copy()

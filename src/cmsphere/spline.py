@@ -15,6 +15,7 @@ barycentric coordinates.
 
 import numpy as np
 
+from .geom import _edot3
 from .mesh import SUB_COEF
 
 # Rows 12-17 as (edge, i, j): row = r[edge] * c[i] + s[edge] * c[j] with the
@@ -86,18 +87,22 @@ class MacroSpline:
         return np.ascontiguousarray(_combine(b, e1, e2, e3, e1, np.empty_like(e1)).T)
 
     def derivative_located(self, tri, sub, bary, g):
-        """Values (n, m), bit-identical to eval_located's, and derivatives
-        along directions g (n, q, 3), shape (n, q, m), both in C order, at
-        located points; the values and every direction share one gather."""
+        """Values (n, m), bit-identical to eval_located's, in C order, and
+        derivatives along directions g (n, q, 3), shape (n, q, m), the view
+        of (q, m, n) rows, at located points; the values and every
+        direction share one gather. g is read as (q, 3, n) rows, which an
+        (n, q, 3) view of such rows hands over without a copy."""
         b, e1, e2, e3 = self._first_stage(tri, sub, bary)
-        sub_inv = self.mesh.sub_inv.reshape(-1, 3, 3)
-        bg = np.einsum("nij,nqj->nqi", np.take(sub_inv, tri * 6 + sub, axis=0), g)
-        ders, tmp = np.empty(bg.shape[:2] + e1.shape[:1]), np.empty_like(e1)
-        for j in range(bg.shape[1]):  # through direction j's (m, n) view of ders
-            _combine(bg[:, j].T, e1, e2, e3, ders[:, j].T, tmp)
+        inv = np.take(self.mesh.sub_inv.reshape(-1, 9), tri * 6 + sub, axis=0).reshape(-1, 3, 3)
+        # Each direction in sub-triangle barycentrics, summed as einsum would.
+        bg = [[_edot3(inv[:, i], gq.T) for i in range(3)] for gq in g.transpose(1, 2, 0)]
+        del inv  # before the derivatives' buffers, which set the peak otherwise
+        ders, tmp = np.empty((len(bg),) + e1.shape), np.empty_like(e1)
+        for bq, out in zip(bg, ders):
+            _combine(bq, e1, e2, e3, out, tmp)
         ders *= 2.0
-        del bg  # before the values' output copy, which sets the peak otherwise
-        return np.ascontiguousarray(_combine(b, e1, e2, e3, e1, tmp).T), ders
+        del bg  # likewise before the values' output copy
+        return np.ascontiguousarray(_combine(b, e1, e2, e3, e1, tmp).T), ders.transpose(2, 0, 1)
 
 
 def _combine(b, x, y, z, out, tmp):

@@ -17,6 +17,17 @@ def sample_sphere(n, seed):
     return np.concatenate(_per_chunk(lambda i, lo, hi: _chunk_points(seed, i, hi - lo), n))
 
 
+def memory_layouts(a):
+    """a in C order, in Fortran order, as a strided view, and, for
+    tangents (n, q, 3), as the view of (q, 3, n) rows."""
+    wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1],))
+    wide[..., ::2] = a
+    out = [np.ascontiguousarray(a), np.asfortranarray(a), wide[..., ::2]]
+    if a.ndim == 3:
+        out.append(np.ascontiguousarray(a.transpose(1, 2, 0)).transpose(2, 0, 1))
+    return out
+
+
 def edge_geometry(mesh):
     """The build-time geometry the mesh does not keep, rebuilt by the
     build's own code: edges (n_edges, 2), tri_edges (n_triangles, 3), the

@@ -315,7 +315,7 @@ def test_render_equirect_matches_direct_sampling(capsys, tmp_path):
     assert len(raw) == len(b"P5\n32 16\n255\n") + 32 * 16
 
     # at t=0 the image is the raw tracer on the grid
-    grid = cli._equirect_grid(16)
+    grid = cli._equirect_grid(16, 32, 0, 16 * 32).reshape(16, 32, 3)
     want = cosine_bells()(grid)
     rows = csv_path.read_text().strip().split("\n")[1:]
     got = np.array([float(r.split(",")[2]) for r in rows]).reshape(16, 32)

@@ -191,6 +191,9 @@ def test_chunked_evaluations_match_unchunked_formulas(rotation_run, monkeypatch)
     assert np.array_equal(pullback_tracer(chain, phi0, pts), whole)
     grid = pts.reshape(50, 50, 3)
     assert np.array_equal(pullback_tracer(chain, phi0, grid), whole.reshape(50, 50))
+    # a grid whose chunks build their own points
+    built = pullback_tracer(chain, phi0, lambda lo, hi: pts[lo:hi], shape=(50, 50))
+    assert np.array_equal(built, whole.reshape(50, 50))
     assert pullback_tracer(chain, phi0, np.empty((0, 3))).shape == (0,)
 
     verts = mesh4.vertices
@@ -336,22 +339,29 @@ def test_evaluate_run_walks_each_sample_chunk_once(remapped_run, monkeypatch, th
     chunk = diagnostics._CHUNK
     n = 2 * chunk + 17  # the last chunk is partial
     walked = {"eval": [], "eval_with_jacobian": []}
+    drawn = []
+    draw = diagnostics._chunk_points
     with monkeypatch.context() as m:
         for name, sizes in walked.items():
             def spy(self, p, _orig=getattr(MapChain, name), _sizes=sizes):
                 _sizes.append(len(p))
                 return _orig(self, p)
             m.setattr(MapChain, name, spy)
+        m.setattr(diagnostics, "_chunk_points",
+                  lambda seed, i, size: drawn.append(i) or draw(seed, i, size))
         rep = evaluate_run(flow, chain, 8, n_samples=n, seed=3, mass_cells=8)
     # the one MapChain.eval is l1_error's pullback of the mesh vertices
     assert walked["eval"] == [chain.mesh.n_vertices]
     assert sorted(walked["eval_with_jacobian"]) == [17, chunk, chunk]
+    # each sample chunk is drawn once, for all three norms
+    assert sorted(drawn) == [0, 1, 2]
+    # and each norm alone, which draws and walks its own samples, agrees
     assert (rep.linf, rep.map_err, rep.density_err) == sample_norms(flow, chain, n, 3)
 
 
 def test_shared_walk_under_a_busy_pool(remapped_run, monkeypatch):
-    # 41 chunks on three workers, switching threads often: a lost
-    # memo entry would make linf_error raise
+    # 41 chunks on three workers, switching threads often: the stored
+    # chunk maxima must still come back in chunk order
     flow, chain = remapped_run
     monkeypatch.setattr(diagnostics, "_CHUNK", 1000)
     monkeypatch.setenv("CMM_THREADS", "1")
@@ -366,21 +376,23 @@ def test_shared_walk_under_a_busy_pool(remapped_run, monkeypatch):
     assert pooled == serial
 
 
-def test_footpoint_memo_must_hold_every_chunk(rotation_run, monkeypatch):
+def test_stored_chunk_maxima_reduce_as_walked(rotation_run, monkeypatch):
+    # density_error's chunks take the other norms' maxima from their own
+    # footpoints; reduced in chunk order they are the walked norms, bit for bit
     flow, chain = rotation_run
     phi0 = initial_tracer(flow)
     exact = reference_solution(flow, phi0, flow.T)
     xref = reference_map(flow, flow.T)
     monkeypatch.setattr(diagnostics, "_CHUNK", 1000)
-    feet = {}
-    density_error(chain, 1000, 0, feet=feet)
-    assert list(feet) == [0]
-    with pytest.raises(KeyError):
-        map_error(chain, xref, 1500, 0, feet=feet)
-    with pytest.raises(KeyError):
-        linf_error(chain, phi0, exact, 1500, 0, feet=dict(feet))
-    walked = tuple(map_error(chain, xref, 1000, 0, feet=feet))
-    assert walked == tuple(map_error(chain, xref, 1000, 0))
-    walked = linf_error(chain, phi0, exact, 1000, 0, feet=feet)
-    assert walked == linf_error(chain, phi0, exact, 1000, 0)
-    assert feet == {}
+    parts = []
+    feet = lambda pts, foot: (pts.shape, np.array_equal(foot, chain.eval(pts)))  # noqa: E731
+    assert density_error(chain, 2500, 0, also=(feet, parts)) == density_error(chain, 2500, 0)
+    assert parts == [((1000, 3), True), ((1000, 3), True), ((500, 3), True)]
+    parts = []
+    density_error(chain, 2500, 0, also=(
+        lambda pts, foot: (diagnostics._map_parts(xref, pts, foot),
+                           diagnostics._linf_parts(phi0, exact, pts, foot)), parts))
+    stored = tuple(map_error(chain, xref, 2500, 0, parts=[m for m, _ in parts]))
+    assert stored == tuple(map_error(chain, xref, 2500, 0))
+    stored = linf_error(chain, phi0, exact, 2500, 0, parts=[e for _, e in parts])
+    assert stored == linf_error(chain, phi0, exact, 2500, 0)

@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from conftest import memory_layouts
 
 from cmsphere.errors import ZeroVector
 from cmsphere.geom import (
     _cross3,
     _dot3,
+    _edot3,
     _min3,
     _norm3,
+    area_form,
     cart_to_sph,
     great_circle_distance,
     project_differential,
@@ -128,6 +131,11 @@ def test_row_helpers_match_numpy_on_random_rows(n):
     assert np.array_equal(_cross3(q[0], p), np.cross(q[0], p))
     u, w = p[:, None, :], np.stack([q, p], axis=1)
     assert np.array_equal(_dot3(u, w), np.sum(u * w, axis=-1))
+    # _edot3 is einsum's contraction in every form the package replaced
+    a = rng.standard_normal((n, 3, 3)) * np.exp(rng.uniform(-20.0, 20.0, (n, 3, 3)))
+    assert np.array_equal(_edot3(p, q), np.einsum("ij,ij->i", p, q))
+    assert np.array_equal(_edot3(a, p[:, None]), np.einsum("kij,kj->ki", a, p))
+    assert np.array_equal(_edot3(a[:, None], w[:, :, None]), np.einsum("nij,nqj->nqi", a, w))
 
 
 def test_row_helpers_match_numpy_on_special_rows():
@@ -139,6 +147,7 @@ def test_row_helpers_match_numpy_on_special_rows():
             (_norm3(p), np.linalg.norm(p, axis=-1)),
             (_dot3(p, q), np.sum(p * q, axis=-1)),
             (_cross3(p, q), np.cross(p, q)),
+            (_edot3(p, q), np.einsum("ij,ij->i", p, q)),
         ]
         norms = _norm3(p)
     for got, want in pairs:
@@ -147,3 +156,25 @@ def test_row_helpers_match_numpy_on_special_rows():
     has_nan = np.isnan(p).any(axis=1)
     assert np.array_equal(np.isnan(_min3(p)), has_nan)
     assert np.array_equal(np.isnan(norms), has_nan)
+
+
+def test_area_form_does_not_depend_on_memory_order():
+    rng = np.random.default_rng(12)
+    x = random_units(5000, 13)
+    t = rng.standard_normal((5000, 2, 3)) * np.exp(rng.uniform(-20.0, 20.0, (5000, 2, 3)))
+    want = np.einsum("ij,ij->i", x, np.cross(t[:, 0], t[:, 1]))
+    for xl in memory_layouts(x):
+        for tl in memory_layouts(t):
+            assert np.array_equal(area_form(xl, tl), want)
+
+
+def test_pushed_tangents_keep_their_layout():
+    # project_differential allocates like its tangents, so rows stay rows
+    rng = np.random.default_rng(14)
+    xi = rng.standard_normal((3000, 1, 3))
+    w = rng.standard_normal((3000, 2, 3))
+    want = project_differential(xi, w)
+    for wl in memory_layouts(w):
+        got = project_differential(xi, wl)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.argsort(got.strides), np.argsort(wl.strides))

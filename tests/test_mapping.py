@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import sample_sphere
+from conftest import memory_layouts, sample_sphere
 
 from cmsphere import mapping
 from cmsphere.errors import ZeroVector
@@ -106,18 +106,22 @@ def test_entry_points_share_one_walk(mesh, points):
 
 
 def test_results_do_not_depend_on_memory_order(mesh, points):
-    # einsum sums a Fortran-ordered or strided operand in another order, so
-    # points are made C-contiguous before they reach it
+    # location's einsums sum a Fortran-ordered or strided operand in another
+    # order, so points are made C-contiguous before they reach them; the
+    # Jacobian path sums its columns in einsum's order on any layout
     flow = get_flow("moving_vortex")
     chain = run(flow.velocity, CMConfig(level=3, n_steps=20, t_final=flow.T, remap_stride=5))
-    wide = np.zeros((len(points), 6))
-    wide[:, ::2] = points
-    want = locate_batch(mesh, points), chain.eval(points), chain.eval_with_jacobian(points)
-    for p in (np.asfortranarray(points), wide[:, ::2]):
-        got = locate_batch(mesh, p), chain.eval(p), chain.eval_with_jacobian(p)
-        for a, b in zip(got[0] + got[2], want[0] + want[2]):
+    tang = np.random.default_rng(9).standard_normal((len(points), 2, 3))
+    want = (locate_batch(mesh, points), chain.eval(points), chain.eval_with_jacobian(points),
+            chain.jet(points, tang))
+    for p in memory_layouts(points)[1:]:
+        got = locate_batch(mesh, p), chain.eval(p), chain.eval_with_jacobian(p), chain.jet(p, tang)
+        for a, b in zip(got[0] + got[2] + got[3], want[0] + want[2] + want[3]):
             assert np.array_equal(a, b)
         assert np.array_equal(got[1], want[1])
+    for t in memory_layouts(tang)[1:]:
+        for a, b in zip(chain.jet(points, t), want[3]):
+            assert np.array_equal(a, b)
 
 
 def test_collapsed_value_raises(mesh):

@@ -9,6 +9,7 @@ from conftest import (
     edge_jumps,
     evaluate,
     interpolate,
+    memory_layouts,
     reference_coefficients,
     sample_sphere,
 )
@@ -180,8 +181,8 @@ def test_constructor_paths_agree_and_share_one_buffer(mesh):
 @pytest.mark.parametrize("m", [1, 3])
 def test_kernels_match_row_major_oracle(level, m):
     # The component-major kernels keep every product and sum of the
-    # row-major ones, and hand back C-contiguous arrays, whose later einsum
-    # column sums would round otherwise
+    # row-major ones, the einsum of the directions included, and hand back
+    # C-contiguous values
     mesh = build_icosahedral(level)
     rng = np.random.default_rng(level + 10 * m)
     sp = MacroSpline(mesh, build_coefficients(mesh, *rng.standard_normal((3, mesh.n_vertices, m))))
@@ -192,9 +193,24 @@ def test_kernels_match_row_major_oracle(level, m):
         got = (sp.eval_located(*located), *sp.derivative_located(*located, g))
         want = (oracle.eval_located(*located), *oracle.derivative_located(*located, g))
         for a, b in zip(got, want):
-            assert a.flags.c_contiguous
             assert a.shape == b.shape
             assert np.array_equal(a, b)
+        assert got[0].flags.c_contiguous and got[1].flags.c_contiguous
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_derivatives_do_not_depend_on_memory_order(mesh, m):
+    # no einsum sums the directions any more, so their layout cannot move a bit
+    rng = np.random.default_rng(30 + m)
+    sp = MacroSpline(mesh, build_coefficients(mesh, *rng.standard_normal((3, mesh.n_vertices, m))))
+    located = locate_batch(mesh, sample_sphere(4000, seed=8))
+    g = rng.standard_normal((4000, 2, 3))
+    want = sp.derivative_located(*located, g)
+    for gl in memory_layouts(g):
+        got = sp.derivative_located(*located, gl)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        assert got[0].flags.c_contiguous
 
 
 def _peak_bytes(f):
