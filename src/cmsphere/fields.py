@@ -75,10 +75,12 @@ def _framed_velocity(frame, local):
     """The frame's rigid rotation plus local(q, t), a field given in its
     coordinates q = p R(t), on (3, n) component rows."""
 
+    omega = frame.omega
+
     def velocity(p, t):
         p = np.asarray(p, dtype=float)
         m = frame.matrix(t)
-        return _cross3(frame.omega, p) + (m @ local(m.T @ p.T, t)).T
+        return _cross3(omega, p) + (m @ local(m.T @ p.T, t)).T
 
     return velocity
 
@@ -87,8 +89,10 @@ def solid_body(alpha=0.0, T=1.0):
     """Rigid rotation with one period over [0, T], axis tilted by alpha."""
     frame = RotatingFrame(pre=_ry(alpha), rate=2.0 * np.pi / T, post=_ry(-alpha))
 
+    omega = frame.omega
+
     def velocity(p, t):
-        return _cross3(frame.omega, np.asarray(p, dtype=float))
+        return _cross3(omega, np.asarray(p, dtype=float))
 
     def exact_map(p, t):
         return np.asarray(p, dtype=float) @ frame.matrix(t)

@@ -32,7 +32,10 @@ def _min3(x):
 
 
 def _norm3(x):
-    return np.sqrt(x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1] + x[..., 2] * x[..., 2])
+    s = x[..., 0] * x[..., 0]
+    s += x[..., 1] * x[..., 1]
+    s += x[..., 2] * x[..., 2]
+    return np.sqrt(s)
 
 
 def _dot3(p, q):
@@ -48,10 +51,18 @@ def _cross3(p, q):
     out = np.empty_like(q, dtype=float, order="A", shape=np.broadcast(p, q).shape)
     p0, p1, p2 = p[..., 0], p[..., 1], p[..., 2]
     q0, q1, q2 = q[..., 0], q[..., 1], q[..., 2]
-    out[..., 0] = p1 * q2 - p2 * q1
-    out[..., 1] = p2 * q0 - p0 * q2
-    out[..., 2] = p0 * q1 - p1 * q0
+    # Each column's first product goes straight to out, then loses the second.
+    o0, o1, o2 = out[..., 0], out[..., 1], out[..., 2]
+    np.subtract(np.multiply(p1, q2, out=o0), p2 * q1, out=o0)
+    np.subtract(np.multiply(p2, q0, out=o1), p0 * q2, out=o1)
+    np.subtract(np.multiply(p0, q1, out=o2), p1 * q0, out=o2)
     return out
+
+
+def _any_below(x, bound):
+    """np.any(x < bound) as one reduction: fmin passes over NaN, which
+    compares False, and an empty x reads inf."""
+    return np.fmin.reduce(x, axis=None, initial=np.inf) < bound
 
 
 def _copy_columns(x, out):
@@ -80,7 +91,7 @@ def radial_project(v):
         If any row has norm below 1e-300.
     """
     n = _norm3(v)[..., None]
-    if np.any(n < 1e-300):
+    if _any_below(n, 1e-300):
         raise ZeroVector("cannot radially project a (near-)zero vector")
     return v / n
 

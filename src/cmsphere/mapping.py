@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ZeroVector
-from .geom import _copy_columns, _norm3, area_form, project_differential, vertex_frames
+from .geom import _any_below, _copy_columns, _norm3, area_form, project_differential, vertex_frames
 from .mesh import MAX_LEVEL, build_icosahedral, locate_batch
 from .spline import MacroSpline, build_coefficients
 
@@ -60,7 +60,7 @@ class SphereMap:
         else:
             raw, w = self.spline.derivative_located(tri, sub, bary, dirs)
         n = _norm3(raw)[:, None]
-        if np.any(n < MIN_PRE_NORM):
+        if _any_below(n, MIN_PRE_NORM):
             raise ZeroVector("map value collapsed toward the origin")
         # The same division with or without dirs: eval_with_jacobian's
         # footpoints are eval's, bit for bit.

@@ -33,6 +33,11 @@ EDGE_ROWS = np.array(
 )
 
 
+# Triangles per block of the ring rows: a block's (3, 3, B) scratch rows stay
+# at 576 KiB, while meshes up to refinement 4 take a single block.
+_RING_BLOCK = 8192
+
+
 def build_coefficients(mesh, values, d1, d2):
     """Coefficient array (n_triangles, 19, m) for vertex Hermite data, a
     transposed view of a component-major (m, 19, n_triangles) buffer.
@@ -40,23 +45,60 @@ def build_coefficients(mesh, values, d1, d2):
     values, d1, d2 have shape (n_vertices, m); d1 and d2 are the
     derivatives along the mesh vertex frames g1 and g2.
     """
-    tris = mesh.triangles
-    g1, g2, cos, half_sin, (r, s), w = (
-        mesh.ring_g1, mesh.ring_g2, mesh.ring_cos, mesh.ring_half_sin, mesh.rs, mesh.center_bary)
-    values, d1, d2 = (np.ascontiguousarray(x.T) for x in (values, d1, d2))
-    c = np.empty((values.shape[0], 19, tris.shape[0]))
-    for a in range(3):
-        f_a, d1_a, d2_a = (np.take(x, tris[:, a], axis=1) for x in (values, d1, d2))
-        c[:, a] = f_a
-        # Row 3 + 3 * corner + target, targets in mesh.RING_TARGETS order:
-        # cos * f + half_sin * (derivative of f toward the target).
-        for b in range(3):
-            de = d1_a * g1[a, b] + d2_a * g2[a, b]
-            c[:, 3 + 3 * a + b] = cos[a, b] * f_a + half_sin[a, b] * de
-    for row, (edge, i, j) in enumerate(EDGE_ROWS, start=12):
-        c[:, row] = r[edge] * c[:, i] + s[edge] * c[:, j]
-    c[:, 18] = w[0] * c[:, 4] + w[1] * c[:, 7] + w[2] * c[:, 10]
+    n_tris, m = mesh.n_triangles, values.shape[1]
+    # Rows of value, d1 and d2 per component, gathered once per corner.
+    data = np.empty((3, m, values.shape[0]))
+    for x, rows in zip((values, d1, d2), data):
+        rows[...] = x.T
+    c = np.empty((m, 19, n_tris))
+    size = min(n_tris, _RING_BLOCK)
+    fgh, tmp = np.empty((3, m, size)), np.empty((m, 3, size))
+    for lo in range(0, n_tris, size):
+        k = slice(lo, min(lo + size, n_tris))
+        n = k.stop - lo
+        _ring_rows(mesh, data, k, c[..., k], fgh[..., :n], tmp[..., :n])
+    if n_tris > size:
+        tmp = np.empty((m, 3, n_tris))
+    # Rows 12-17, three at a time: r * c[i] + s * c[j].
+    rs = np.take(mesh.rs, EDGE_ROWS[:, 0], axis=1)
+    for e in (slice(0, 3), slice(3, 6)):
+        rows = c[:, 12 + e.start:12 + e.stop]
+        np.take(c, EDGE_ROWS[e, 1], axis=1, out=tmp, mode="wrap")
+        np.multiply(rs[0, e], tmp, out=rows)
+        np.take(c, EDGE_ROWS[e, 2], axis=1, out=tmp, mode="wrap")
+        tmp *= rs[1, e]
+        rows += tmp
+    w, center, t = mesh.center_bary, c[:, 18], tmp[:, 0]
+    np.multiply(w[0], c[:, 4], out=center)
+    np.multiply(w[1], c[:, 7], out=t)
+    center += t
+    np.multiply(w[2], c[:, 10], out=t)
+    center += t
     return c.transpose(2, 1, 0)
+
+
+def _ring_rows(mesh, data, k, c, fgh, tmp):
+    """Rows 0-11 of the coefficients c (m, 19, B) of the mesh's triangles
+    k, a slice, from the (3, m, n_vertices) rows data, with scratch fgh
+    (3, m, B) and tmp (m, 3, B)."""
+    tris = mesh.triangles[k]
+    g1, g2, cos, half_sin = (
+        x[..., k] for x in (mesh.ring_g1, mesh.ring_g2, mesh.ring_cos, mesh.ring_half_sin))
+    for a in range(3):
+        # The indices are in range; mode "wrap" lets take write to out unbuffered.
+        np.take(data, tris[:, a], axis=2, out=fgh, mode="wrap")
+        f, g, h = fgh
+        c[:, a] = f
+        # Rows 3 + 3 * corner + target, targets in mesh.RING_TARGETS order,
+        # all three at once: cos * f + half_sin * (g1 * d1 + g2 * d2), the
+        # derivative of f toward the target, built in place.
+        ring = c[:, 3 + 3 * a:6 + 3 * a]
+        np.multiply(g[:, None], g1[a], out=ring)
+        np.multiply(h[:, None], g2[a], out=tmp)
+        ring += tmp
+        ring *= half_sin[a]
+        np.multiply(cos[a], f[:, None], out=tmp)
+        ring += tmp
 
 
 class MacroSpline:

@@ -41,7 +41,13 @@ def reconstruct_hermite(samples, epsilon):
     """
     s = np.asarray(samples, dtype=float)
     s0, s1, s2, s3 = s[:, 0], s[:, 1], s[:, 2], s[:, 3]
-    values = (s0 + s1 + s2 + s3) / 4.0
-    d1 = (s1 - s0 + s3 - s2) / (4.0 * epsilon)
-    d2 = (s2 - s0 + s3 - s1) / (4.0 * epsilon)
+    # Left to right, each sum accumulating in place.
+    values, d1, d2 = s0 + s1, s1 - s0, s2 - s0
+    values += s2
+    values += s3
+    values /= 4.0
+    for d, last in ((d1, s2), (d2, s1)):
+        d += s3
+        d -= last
+        d /= 4.0 * epsilon
     return values, d1, d2

@@ -6,6 +6,7 @@ from conftest import memory_layouts
 
 from cmsphere.errors import ZeroVector
 from cmsphere.geom import (
+    _any_below,
     _cross3,
     _dot3,
     _edot3,
@@ -37,6 +38,28 @@ def test_radial_project_unit_norm():
 def test_radial_project_zero_raises():
     with pytest.raises(ZeroVector):
         radial_project(np.zeros(3))
+
+
+def test_radial_project_raises_past_nan_rows():
+    # a NaN row beside a zero one must not hide the zero
+    with pytest.raises(ZeroVector):
+        radial_project(np.array([[np.nan, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        np.array([]),
+        np.array([np.nan]),
+        np.array([np.nan, 0.0]),
+        np.array([np.inf, -np.inf]),
+        np.array([1e-301, np.nan, 2.0]),
+        np.array([[3.0, np.nan], [1e-300, 5.0]]),
+    ],
+)
+@pytest.mark.parametrize("bound", [1e-300, 0.5])
+def test_any_below_matches_any_of_less(x, bound):
+    assert bool(_any_below(x, bound)) == bool(np.any(x < bound))
 
 
 def test_project_differential_tangency_and_fd():

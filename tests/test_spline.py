@@ -15,6 +15,7 @@ from conftest import (
 )
 
 from cmsphere.mesh import SUB_COEF, build_icosahedral, locate_batch
+from cmsphere import spline
 from cmsphere.spline import MacroSpline, build_coefficients
 
 
@@ -137,6 +138,19 @@ def test_row_build_matches_reference(level, m):
     values, d1, d2 = rng.standard_normal((3, mesh.n_vertices, m))
     coeffs = build_coefficients(mesh, values, d1, d2)
     assert coeffs.shape == (mesh.n_triangles, 19, m)
+    assert np.array_equal(coeffs, reference_coefficients(mesh, values, d1, d2))
+
+
+@pytest.mark.parametrize("block", [7, 100, 320])
+@pytest.mark.parametrize("m", [1, 3])
+def test_blocked_build_matches_reference(monkeypatch, block, m):
+    # Meshes past one block of triangles build their ring rows block by
+    # block, the last one partial unless the block size divides 320
+    monkeypatch.setattr(spline, "_RING_BLOCK", block)
+    mesh = build_icosahedral(2)
+    rng = np.random.default_rng(block + m)
+    values, d1, d2 = rng.standard_normal((3, mesh.n_vertices, m))
+    coeffs = build_coefficients(mesh, values, d1, d2)
     assert np.array_equal(coeffs, reference_coefficients(mesh, values, d1, d2))
 
 
