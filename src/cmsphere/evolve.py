@@ -24,7 +24,7 @@ import numpy as np
 from .errors import NonFiniteState
 from .geom import _norm3, radial_project
 from .mapping import MapChain, SphereMap
-from .mesh import build_icosahedral, locate_batch
+from .mesh import MAX_LEVEL, build_icosahedral, locate_batch
 from .stencil import EPSILON, build_stencils, reconstruct_hermite
 
 
@@ -44,10 +44,12 @@ class CMConfig:
     verbose: bool = False
 
     def __post_init__(self):
+        if not 0 <= self.level <= MAX_LEVEL:
+            raise ValueError("level must lie in [0, %d]" % MAX_LEVEL)
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
-        if self.t_final <= 0.0:
-            raise ValueError("t_final must be positive")
+        if not 0.0 < self.t_final < np.inf:
+            raise ValueError("t_final must be positive and finite")
         if not 0 <= self.remap_stride <= self.n_steps:
             raise ValueError("remap_stride must lie in [0, n_steps]")
 

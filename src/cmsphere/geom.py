@@ -103,7 +103,7 @@ def project_differential(xi, w):
     length; the result is tangent to the sphere at xi/|xi|.
     """
     n = _norm3(xi)[..., None]
-    if np.any(n < 1e-300):
+    if _any_below(n, 1e-300):
         raise ZeroVector("projection differential undefined at the origin")
     u = xi / n
     # Allocated like w, so pushed tangents keep the rows they came in.

@@ -65,7 +65,6 @@ _BARY_TOL = 1e-12
 # lies in no other triangle within _BARY_TOL, even though spherical
 # barycentrics scale differently from one triangle to the next.
 _KEEP_MARGIN = 1e-10
-_GRID_SENTINEL = np.iinfo(np.int64).max
 _CENTRE_BLOCK = 1 << 14
 
 
@@ -226,48 +225,39 @@ def _ring_constants(entities, g1, g2):
     return [np.ascontiguousarray(x.transpose(1, 2, 0)) for x in (cosw, 0.5 * sinw, eg1, eg2)]
 
 
-def _grid_cell(p, cells_theta, cells_lam):
+def _grid_cell(p, cells):
     """(colatitude, longitude) indices of each point's cell in a
-    cells_theta x cells_lam grid."""
+    cells x cells grid."""
     lam, theta = cart_to_sph(p)
-    it = np.clip((theta / np.pi * cells_theta).astype(np.int64), 0, cells_theta - 1)
-    il = np.clip((lam / (2.0 * np.pi) * cells_lam).astype(np.int64), 0, cells_lam - 1)
+    it = np.clip((theta / np.pi * cells).astype(np.int64), 0, cells - 1)
+    il = np.clip((lam / (2.0 * np.pi) * cells).astype(np.int64), 0, cells - 1)
     return it, il
 
 
-def _build_grid(centers, cells_theta, cells_lam):
-    grid = np.full((cells_theta, cells_lam), _GRID_SENTINEL, dtype=np.int64)
-    np.minimum.at(grid, _grid_cell(centers, cells_theta, cells_lam),
-                  np.arange(centers.shape[0], dtype=np.int64))
-    # Flood empty cells from filled neighbors (wrapping in longitude).
-    while np.any(grid == _GRID_SENTINEL):
-        best = grid.copy()
-        for shifted in (
-            np.roll(grid, 1, axis=1),
-            np.roll(grid, -1, axis=1),
-            np.vstack([grid[:1], grid[:-1]]),
-            np.vstack([grid[1:], grid[-1:]]),
-        ):
-            best = np.minimum(best, shifted)
-        grid = np.where(grid == _GRID_SENTINEL, best, grid)
+def _centre_grid(mesh):
+    """An int32 grid of 16 to 512 cells per axis, holding per cell a
+    triangle that contains the cell's centre point, built from one cell
+    holding triangle 0 by doubling the cells per axis."""
+    grid = np.zeros((1, 1), dtype=np.int32)
+    while grid.shape[0] < min(512, max(16, 2 ** (mesh.level + 3))):
+        grid = _doubled(mesh, grid)
     return grid
 
 
-def _centre_grid(mesh):
-    """An int32 grid of twice the cells per axis of the mesh's barycenter
-    grid, holding per cell a triangle that contains the cell's centre
-    point. Each centre walks, in blocks of _CENTRE_BLOCK cells, from the
-    coarse cell it lies in. Points seeded there walk less, and their
-    locations do not depend on the seed."""
-    cells = 2 * mesh.grid_start.shape[0]
-    seeds = np.repeat(np.repeat(mesh.grid_start, 2, axis=0), 2, axis=1).ravel()
+def _doubled(mesh, coarse):
+    """The centre grid with twice coarse's cells per axis. Each centre
+    walks, in blocks of _CENTRE_BLOCK cells, from the coarse cell it lies
+    in. Points seeded there walk less, and their locations do not depend
+    on the seed."""
+    cells = 2 * coarse.shape[0]
+    seeds = np.repeat(np.repeat(coarse, 2, axis=0), 2, axis=1).ravel()
     centre = (np.arange(cells) + 0.5) * (np.pi / cells)
     st, ct, sl, cl = np.sin(centre), np.cos(centre), np.sin(2.0 * centre), np.cos(2.0 * centre)
     grid = np.empty(cells * cells, dtype=np.int32)
     for lo in range(0, grid.size, _CENTRE_BLOCK):
         it, il = np.divmod(np.arange(lo, min(lo + _CENTRE_BLOCK, grid.size)), cells)
         p = np.stack([st[it] * cl[il], st[it] * sl[il], ct[it]], axis=1)
-        cur = seeds[lo:lo + len(p)].copy()
+        cur = seeds[lo:lo + len(p)].astype(np.int64)
         _walk(mesh, p, cur)
         grid[lo:lo + len(p)] = cur
     return grid.reshape(cells, cells)
@@ -296,8 +286,7 @@ def build_icosahedral(level):
 
 
 def _triangulate(level):
-    """The mesh of build_icosahedral, seeding walks from the grid of the
-    barycenters."""
+    """The mesh of build_icosahedral, without its seed grid."""
     verts, tris = _icosahedron()
     for _ in range(level):
         verts, tris = _refine_once(verts, tris)
@@ -340,7 +329,6 @@ def _triangulate(level):
     spoke_normals = _cross3(centers[:, None, :], entities[:, SPOKES, :])
     center_bary = np.ascontiguousarray(np.einsum("tij,tj->ti", macro_inv, centers).T)
 
-    cells = int(min(256, max(8, 2 ** (level + 2))))
     # Incident triangles of each vertex in ascending order, the lowest one
     # repeated where a vertex has only five.
     order = np.argsort(tris.ravel(), kind="stable")
@@ -365,13 +353,13 @@ def _triangulate(level):
         ring_half_sin=ring_half_sin,
         ring_g1=ring_g1,
         ring_g2=ring_g2,
-        grid_start=_build_grid(centers, cells, cells),
+        grid_start=None,
         vertex_tris=vertex_tris,
     )
 
 
 def _grid_seed(mesh, p):
-    return mesh.grid_start[_grid_cell(p, *mesh.grid_start.shape)].astype(np.int64)
+    return mesh.grid_start[_grid_cell(p, mesh.grid_start.shape[0])].astype(np.int64)
 
 
 def _macro_bary(mesh, tri, p):

@@ -12,7 +12,7 @@ from cmsphere.evolve import CMConfig, rk4_backstep, run
 from cmsphere.fields import FLOWS, deformational, moving_vortex, solid_body
 from cmsphere.geom import radial_project, rotation_matrix, vertex_frames
 from cmsphere.mapping import SphereMap
-from cmsphere.mesh import build_icosahedral, locate_batch
+from cmsphere.mesh import MAX_LEVEL, build_icosahedral, locate_batch
 from cmsphere.stencil import EPSILON, OFFSETS, build_stencils
 
 
@@ -95,12 +95,19 @@ def test_config_validation():
         dict(n_steps=0, t_final=1.0),
         dict(n_steps=4, t_final=0.0),
         dict(n_steps=4, t_final=-1.0),
+        dict(n_steps=4, t_final=np.nan),
+        dict(n_steps=4, t_final=np.inf),
         dict(n_steps=4, t_final=1.0, remap_stride=-1),
         dict(n_steps=4, t_final=1.0, remap_stride=5),
     ]
     for kwargs in bad:
         with pytest.raises(ValueError):
             CMConfig(level=1, **kwargs)
+    for level in (-1, MAX_LEVEL + 1):
+        with pytest.raises(ValueError, match="level"):
+            CMConfig(level=level, n_steps=4, t_final=1.0)
+    for level in (0, MAX_LEVEL):
+        CMConfig(level=level, n_steps=4, t_final=1.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         CMConfig(level=1, n_steps=4, t_final=1.0).n_steps = 0
 

@@ -1,7 +1,5 @@
 """Icosahedral mesh construction, refinement, and point location."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from conftest import edge_geometry
@@ -11,7 +9,6 @@ from cmsphere.geom import _min3, great_circle_distance, radial_project, sph_to_c
 from cmsphere.mesh import (
     MAX_LEVEL,
     SUB_VERTS,
-    _build_grid,
     build_icosahedral,
     h_max,
     locate_batch,
@@ -247,21 +244,20 @@ def test_locate_near_boundaries_is_lowest_containing(meshes, geometry, k):
     assert_same_location(locate_batch(mesh, pts, start=locate_batch(mesh, -pts)), cold)
 
 
-@pytest.mark.parametrize("k", [1, 3, 4, 5])
+@pytest.mark.parametrize("k", range(6))
 def test_centre_grid_locates_as_the_barycenter_grid(meshes, geometry, k):
-    # each cell of the finer grid seeds a triangle that holds the cell's
-    # centre; seeded from the barycenter grid it is built from, every point
-    # lands in the same place, bit for bit
+    # each cell of the seed grid holds a triangle that contains the cell's
+    # centre; seeded there, every point lands where a walk from triangle 0
+    # lands, bit for bit
     mesh = meshes[k] if k in meshes else build_icosahedral(k)
     geo = geometry[k] if k in geometry else edge_geometry(mesh)
-    cells = min(256, max(8, 2 ** (k + 2)))
-    assert mesh.grid_start.shape == (2 * cells, 2 * cells)
+    cells = mesh.grid_start.shape[0]
+    assert mesh.grid_start.shape == (cells, cells)
     assert mesh.grid_start.dtype == np.int32
-    centre = (np.arange(2 * cells) + 0.5) * np.pi / (2 * cells)
+    centre = (np.arange(cells) + 0.5) * np.pi / cells
     c = sph_to_cart(*np.meshgrid(2.0 * centre, centre)).reshape(-1, 3)
     held = np.einsum("kij,kj->ki", mesh.macro_inv[mesh.grid_start.ravel()], c)
     assert _min3(held).min() >= -1e-12
-    old = dataclasses.replace(mesh, grid_start=_build_grid(geo.centers, cells, cells))
     rng = np.random.default_rng(60 + k)
     a, b = (mesh.vertices[geo.edges[:, i]] for i in range(2))
     on_edge = radial_project(a + rng.uniform(0.0, 1.0, (len(a), 1)) * (b - a))
@@ -270,7 +266,8 @@ def test_centre_grid_locates_as_the_barycenter_grid(meshes, geometry, k):
                                 for d in (-1e-11, -1e-12, 0.0, 1e-12, 1e-11)])
     for pts in (random_units(30000, 70 + k), mesh.vertices, geo.centers,
                 geo.splits.reshape(-1, 3), near_edge):
-        assert_same_location(locate_batch(mesh, pts), locate_batch(old, pts))
+        far = start_in(np.zeros(len(pts), dtype=np.int64))
+        assert_same_location(locate_batch(mesh, pts), locate_batch(mesh, pts, start=far))
 
 
 def test_edge_arc_lengths_positive(meshes, geometry):
