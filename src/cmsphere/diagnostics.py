@@ -154,25 +154,25 @@ def density_error(chain, n_samples=1_000_000, seed=0, *, also=None):
     return float(_chunk_max([jac for jac, _ in parts]))
 
 
-def _mass_nodes(n_cells):
+def _mass_nodes(n_cells, lo, hi):
     """Weights (m,), points (m, 3) and (d theta, d lambda) tangent pairs
-    (m, 2, 3) of the mass quadrature, m = 9 n_cells^2."""
+    (m, 2, 3) of the mass quadrature nodes [lo, hi) of 9 n_cells^2, in
+    colatitude-major order. Sines and cosines are taken per axis."""
     nodes, weights = leggauss(3)
 
-    def axis_nodes(lo, hi):
-        edges = np.linspace(lo, hi, n_cells + 1)
+    def axis_nodes(a, b):
+        edges = np.linspace(a, b, n_cells + 1)
         mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
         return (mid[:, None] + half[:, None] * nodes).ravel(), (half[:, None] * weights).ravel()
 
     lam, wl = axis_nodes(0.0, 2.0 * np.pi)
     th, wt = axis_nodes(1e-10, np.pi - 1e-10)
-    LAM, TH = (a.ravel() for a in np.meshgrid(lam, th))
-    W = (wt[:, None] * wl[None, :]).ravel()
-    st, ct, sl, cl = np.sin(TH), np.cos(TH), np.sin(LAM), np.cos(LAM)
+    it, il = np.divmod(np.arange(lo, hi), lam.size)
+    st, ct, sl, cl = np.sin(th)[it], np.cos(th)[it], np.sin(lam)[il], np.cos(lam)[il]
     pts = np.stack([st * cl, st * sl, ct], axis=-1)
     d_th = np.stack([ct * cl, ct * sl, -st], axis=-1)
     d_lam = np.stack([-st * sl, st * cl, np.zeros_like(st)], axis=-1)
-    return W, pts, np.stack([d_th, d_lam], axis=1)
+    return wt[it] * wl[il], pts, np.stack([d_th, d_lam], axis=1)
 
 
 def mass_integral(chain, n_cells=64):
@@ -182,17 +182,17 @@ def mass_integral(chain, n_cells=64):
     (longitude, colatitude) grid with 3x3 Gauss-Legendre nodes per cell.
     The colatitude range is inset by 1e-10 to stay inside the chart. The
     form is evaluated on the (d theta, d lambda) pair, which orients the
-    empty-chain integrand to +sin(theta).
+    empty-chain integrand to +sin(theta). Each chunk builds its own nodes.
     """
     if n_cells < 8:
         raise ValueError("mass quadrature needs at least 8 cells per axis")
-    W, pts, tang = _mass_nodes(n_cells)
 
     def part(i, lo, hi):
+        W, pts, tang = _mass_nodes(n_cells, lo, hi)
         # a numpy reduction, whose order no BLAS thread count can change
-        return float(np.sum(W[lo:hi] * area_form(*chain.jet(pts[lo:hi], tang[lo:hi]))))
+        return float(np.sum(W * area_form(*chain.jet(pts, tang))))
 
-    parts = _per_chunk(part, pts.shape[0])
+    parts = _per_chunk(part, 9 * n_cells * n_cells)
     # Chunk order, left to right: sum() compensates floats from Python 3.12.
     total = 0.0
     for part in parts:

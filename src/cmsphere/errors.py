@@ -9,10 +9,6 @@ class ZeroVector(CmsphereError):
     """A position or direction argument had (near-)zero length."""
 
 
-class DegenerateTriangle(CmsphereError):
-    """Triangle vertices are numerically coplanar with the origin."""
-
-
 class LocationFailure(CmsphereError):
     """The point-location walk did not terminate."""
 

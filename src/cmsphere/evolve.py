@@ -33,8 +33,8 @@ class CMConfig:
     """Run parameters for the map evolution.
 
     remap_stride = 0 disables remapping; otherwise the chain gains a submap
-    every remap_stride steps. Values a run cannot use raise ValueError on
-    construction.
+    every remap_stride steps. Values a run cannot use, floats and bools
+    among the integers included, raise ValueError on construction.
     """
 
     level: int
@@ -44,6 +44,10 @@ class CMConfig:
     verbose: bool = False
 
     def __post_init__(self):
+        for name in ("level", "n_steps", "remap_stride"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError("%s must be an integer, not %r" % (name, value))
         if not 0 <= self.level <= MAX_LEVEL:
             raise ValueError("level must lie in [0, %d]" % MAX_LEVEL)
         if self.n_steps < 1:

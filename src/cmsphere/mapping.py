@@ -136,8 +136,11 @@ def save_chain(chain, path):
     window breaks, coefficients.
 
     Keys: format (int), level (int), breaks (n_maps + 1,), coeffs
-    (n_maps, n_triangles, 19, 3).
+    (n_maps, n_triangles, 19, 3). An identity chain without a mesh has no
+    level to save and raises ValueError.
     """
+    if chain.mesh is None:
+        raise ValueError("cannot save a chain without a mesh: it has no refinement level")
     coeffs = np.stack([m.spline.coeffs for m in chain.maps], axis=0) if chain.maps else np.zeros(
         (0, chain.mesh.n_triangles, 19, 3)
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTriangle, LocationFailure, RefinementTooDeep
+from .errors import LocationFailure, RefinementTooDeep
 from .geom import (_copy_columns, _cross3, _dot3, _min3, _norm3, cart_to_sph,
                    great_circle_distance, radial_project, vertex_frames)
 
@@ -108,7 +108,7 @@ def _icosahedron():
         dtype=float,
     )
     verts = radial_project(verts)
-    tris = np.array(
+    tris = np.array(  # counterclockwise seen from outside
         [
             [0, 11, 5], [0, 5, 1], [0, 1, 7], [0, 7, 10], [0, 10, 11],
             [1, 5, 9], [5, 11, 4], [11, 10, 2], [10, 7, 6], [7, 1, 8],
@@ -117,10 +117,6 @@ def _icosahedron():
         ],
         dtype=np.int64,
     )
-    # Enforce outward (counterclockwise seen from outside) orientation.
-    dets = np.linalg.det(verts[tris])
-    flip = dets < 0
-    tris[flip] = tris[flip][:, [0, 2, 1]]
     return verts, tris
 
 
@@ -182,8 +178,6 @@ def _edge_split_points(verts, edges, edge_tris_pair, centers):
     c2 = centers[edge_tris_pair[:, 1]]
     line = _cross3(_cross3(c1, c2), _cross3(a, b))
     sign = _dot3(line, a + b)
-    if np.any(np.abs(sign) < 1e-14) or np.any(_norm3(line) < 1e-14):
-        raise DegenerateTriangle("edge and barycenter great circles coincide")
     return radial_project(np.sign(sign)[:, None] * line)
 
 
@@ -191,8 +185,6 @@ def _edge_weights(splits, a, b):
     """Weights (r, s) with split = r a + s b for unit a, b on one great circle."""
     d = _dot3(a, b)
     den = 1.0 - d * d
-    if np.any(den < 1e-12):
-        raise DegenerateTriangle("edge endpoints are (anti)parallel")
     pa = _dot3(splits, a)
     pb = _dot3(splits, b)
     r = (pa - d * pb) / den
@@ -300,17 +292,9 @@ def _triangulate(level):
         corners,
         corners[:, [1, 2, 0], :],
     )
-    if np.any(r <= 0.0) or np.any(s <= 0.0):
-        raise DegenerateTriangle("edge split point fell outside its edge arc")
     rs = np.array([r.T, s.T])
 
-    macro = corners.transpose(0, 2, 1)
-    dets = np.linalg.det(macro)
-    if np.any(np.abs(dets) < 1e-12):
-        raise DegenerateTriangle("macro triangle vertices are nearly coplanar")
-    if np.any(dets < 0):
-        raise DegenerateTriangle("macro triangle with inward orientation")
-    macro_inv = np.linalg.inv(macro)
+    macro_inv = np.linalg.inv(corners.transpose(0, 2, 1))
 
     entities = np.concatenate([corners, splits, centers[:, None, :]], axis=1)
     g1, g2 = vertex_frames(verts)
@@ -321,9 +305,6 @@ def _triangulate(level):
 
     # C order, so that the inverses are too and flatten to (6 T, 3, 3) freely.
     sub_mats = np.ascontiguousarray(entities[:, SUB_VERTS, :].transpose(0, 1, 3, 2))
-    sub_dets = np.linalg.det(sub_mats)
-    if np.any(np.abs(sub_dets) < 1e-12):
-        raise DegenerateTriangle("sub-triangle vertices are nearly coplanar")
     sub_inv = np.linalg.inv(sub_mats)
 
     spoke_normals = _cross3(centers[:, None, :], entities[:, SPOKES, :])

@@ -108,6 +108,18 @@ def test_config_validation():
             CMConfig(level=level, n_steps=4, t_final=1.0)
     for level in (0, MAX_LEVEL):
         CMConfig(level=level, n_steps=4, t_final=1.0)
+    # integers only: a float or bool would reach the run as an index or a
+    # silent 0 or 1
+    for name, value in [("level", 1.5), ("level", 1.0), ("level", True), ("level", np.bool_(True)),
+                        ("n_steps", 2.5), ("n_steps", 4.0), ("n_steps", False),
+                        ("remap_stride", 1.5), ("remap_stride", np.float64(2.0)),
+                        ("remap_stride", True)]:
+        with pytest.raises(ValueError, match=name):
+            CMConfig(**dict(dict(level=1, n_steps=4, t_final=1.0), **{name: value}))
+    for integer in (np.int64, np.int32, np.uint8):
+        cfg = CMConfig(level=integer(1), n_steps=integer(4), t_final=1.0,
+                       remap_stride=integer(2))
+        assert (cfg.level, cfg.n_steps, cfg.remap_stride) == (1, 4, 2)
     with pytest.raises(dataclasses.FrozenInstanceError):
         CMConfig(level=1, n_steps=4, t_final=1.0).n_steps = 0
 

@@ -170,6 +170,15 @@ def test_save_load_empty_chain(tmp_path, mesh):
     assert back.breaks == [0.0]
 
 
+def test_save_rejects_identity_chain_without_mesh(tmp_path):
+    # MapChain(mesh=None) is a valid identity for evaluation, but a chain
+    # file needs a refinement level; nothing is written
+    path = tmp_path / "identity.npz"
+    with pytest.raises(ValueError, match="mesh"):
+        save_chain(MapChain(mesh=None), path)
+    assert not path.exists()
+
+
 def test_load_rejects_mismatched_mesh(tmp_path, mesh):
     path = tmp_path / "chain.npz"
     save_chain(MapChain(mesh=mesh), path)

@@ -1,14 +1,21 @@
 """Icosahedral mesh construction, refinement, and point location."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from conftest import edge_geometry
 
 from cmsphere.errors import RefinementTooDeep
-from cmsphere.geom import _min3, great_circle_distance, radial_project, sph_to_cart
+from cmsphere.geom import (_cross3, _dot3, _min3, _norm3, great_circle_distance, radial_project,
+                           sph_to_cart)
 from cmsphere.mesh import (
     MAX_LEVEL,
     SUB_VERTS,
+    _edge_geometry,
+    _edge_weights,
+    _icosahedron,
+    _refine_once,
     build_icosahedral,
     h_max,
     locate_batch,
@@ -82,6 +89,56 @@ def test_orientation_positive(meshes):
         tris = mesh.vertices[mesh.triangles]
         dets = np.linalg.det(tris)
         assert np.all(dets > 0.0)
+
+
+@lru_cache(maxsize=None)
+def refined(k):
+    """Vertices and triangles of the level-k mesh, by the build's own code."""
+    return _icosahedron() if k == 0 else _refine_once(*refined(k - 1))
+
+
+@lru_cache(maxsize=None)
+def build_minima(k):
+    """Smallest value at level k of each quantity that must stay clear of
+    zero for the build's solves, split points and edge weights to hold."""
+    verts, tris = refined(k)
+    edges, _, slots, centers, splits = _edge_geometry(verts, tris)
+    a, b = verts[edges[:, 0]], verts[edges[:, 1]]
+    # the intersection line of _edge_split_points and its orienting sign
+    line = _cross3(_cross3(centers[slots[:, 0] // 3], centers[slots[:, 1] // 3]), _cross3(a, b))
+    corners = verts[tris]
+    after = corners[:, [1, 2, 0]]
+    entities = np.concatenate([corners, splits, centers[:, None]], axis=1)
+    return {
+        "macro det": np.linalg.det(corners).min(),
+        "sub-triangle |det|": np.abs(np.linalg.det(entities[:, SUB_VERTS])).min(),
+        "1 - (a.b)^2": (1.0 - _dot3(corners, after) ** 2).min(),
+        "|line|": _norm3(line).min(),
+        "|sign|": np.abs(_dot3(line, a + b)).min(),
+        "split weights r, s": min(w.min() for w in _edge_weights(splits, corners, after)),
+    }
+
+
+GEOMETRY_BOUNDS = {"macro det": 1e-12, "sub-triangle |det|": 1e-12, "1 - (a.b)^2": 1e-12,
+                   "|line|": 1e-14, "|sign|": 1e-14, "split weights r, s": 0.0}
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_build_geometry_stays_clear_of_degenerate(k):
+    # The build does not check its one fixed mesh per level at run time:
+    # every triangle is outward (the icosahedron's table too, at k = 0) and
+    # far from coplanar, as are the sub-triangles; no edge joins (anti)
+    # parallel endpoints; each split point comes from two distinct great
+    # circles and lies inside its edge's arc.
+    got = build_minima(k)
+    for name, bound in GEOMETRY_BOUNDS.items():
+        assert got[name] > bound, name
+    # Each minimum shrinks by about 4x per level, so k = 7 and 8, too large
+    # to build here, stay orders of magnitude clear too: the smallest
+    # sub-triangle |det| is 4.1e-5 at k = 6, so above 2e-6 at k = 8.
+    if k >= 3:
+        for name in GEOMETRY_BOUNDS:
+            assert build_minima(k - 1)[name] / got[name] < 4.2, name
 
 
 def test_adjacency_is_mutual(meshes):
