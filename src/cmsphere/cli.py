@@ -281,13 +281,15 @@ def _write_image(path, values):
 
 def _equirect_grid(n_theta, n_lam, lo, hi):
     """Centres of the pixels [lo, hi), counted row by row, of an n_theta x
-    n_lam equirectangular grid, shape (hi - lo, 3)."""
+    n_lam equirectangular grid, shape (hi - lo, 3). Sines and cosines are
+    taken per axis."""
     lam = (np.arange(n_lam) + 0.5) * 2.0 * np.pi / n_lam
     theta = _POLE_INSET + (np.arange(n_theta) + 0.5) * (
         np.pi - 2.0 * _POLE_INSET
     ) / n_theta
     i, j = np.divmod(np.arange(lo, hi), n_lam)
-    return sph_to_cart(lam[j], theta[i])
+    st = np.sin(theta)[i]
+    return np.stack([st * np.cos(lam)[j], st * np.sin(lam)[j], np.cos(theta)[i]], axis=-1)
 
 
 def _window_grid(center_lam, center_theta, width, res, lo, hi):

@@ -77,14 +77,6 @@ def pullback_tracer(chain, tracer, points, shape=None):
     return _per_point(lambda p: tracer(chain.eval(p)), points, shape)
 
 
-def _chunk_max(results):
-    """Elementwise max of per-chunk results, in chunk order."""
-    out = results[0]
-    for r in results[1:]:
-        out = np.maximum(out, r)
-    return out
-
-
 def _over_samples(fn, n_samples, seed):
     """fn(points) for each chunk of n_samples random points, in chunk order."""
     n_samples = int(n_samples)
@@ -113,7 +105,7 @@ def linf_error(chain, phi0, exact, n_samples=1_000_000, seed=0, *, parts=None):
     if parts is None:
         parts = _over_samples(lambda pts: _linf_parts(phi0, exact, pts, chain.eval(pts)),
                               n_samples, seed)
-    m = _chunk_max(parts)
+    m = np.max(parts, axis=0)
     den = m[1] if m[1] > _TINY else 1.0
     return float(m[0] / den)
 
@@ -135,7 +127,7 @@ def map_error(chain, exact_map, n_samples=1_000_000, seed=0, *, parts=None):
     if parts is None:
         parts = _over_samples(lambda pts: _map_parts(exact_map, pts, chain.eval(pts)),
                               n_samples, seed)
-    return _chunk_max(parts)
+    return np.max(parts, axis=0)
 
 
 def density_error(chain, n_samples=1_000_000, seed=0, *, also=None):
@@ -151,7 +143,7 @@ def density_error(chain, n_samples=1_000_000, seed=0, *, also=None):
     parts = _over_samples(fn, n_samples, seed)
     if also is not None:
         also[1].extend(extra for _, extra in parts)
-    return float(_chunk_max([jac for jac, _ in parts]))
+    return float(np.max([jac for jac, _ in parts]))
 
 
 def _mass_nodes(n_cells, lo, hi):

@@ -34,7 +34,8 @@ class CMConfig:
 
     remap_stride = 0 disables remapping; otherwise the chain gains a submap
     every remap_stride steps. Values a run cannot use, floats and bools
-    among the integers included, raise ValueError on construction.
+    among the integers and a bool or non-real t_final included, raise
+    ValueError on construction.
     """
 
     level: int
@@ -52,7 +53,10 @@ class CMConfig:
             raise ValueError("level must lie in [0, %d]" % MAX_LEVEL)
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
-        if not 0.0 < self.t_final < np.inf:
+        t = self.t_final
+        if isinstance(t, bool) or not isinstance(t, (int, float, np.integer, np.floating)):
+            raise ValueError("t_final must be a real number, not %r" % (t,))
+        if not 0.0 < t < np.inf:
             raise ValueError("t_final must be positive and finite")
         if not 0 <= self.remap_stride <= self.n_steps:
             raise ValueError("remap_stride must lie in [0, n_steps]")
@@ -120,9 +124,7 @@ def run(u, config, mesh=None):
     for n in range(1, config.n_steps + 1):
         t_next = n * dt
         foot = rk4_backstep(vel, probes, t_next, dt)
-        if current is None:
-            samples = foot
-        else:
+        if current is not None:
             prev, head = head, locate_batch(mesh, foot[:nv], start=head)
             # The other corners start from their first corner's fresh
             # location, or where they were if it kept its sub-triangle;
@@ -134,8 +136,9 @@ def run(u, config, mesh=None):
                 start = [np.where(kept, r.reshape(3, nv), x).reshape(-1)
                          for r, x in zip(rest[:2], head[:2])]
             rest = locate_batch(mesh, foot[nv:], start=start)
-            samples = current.eval(foot, loc=[np.concatenate(pair) for pair in zip(head, rest)])
-        values, d1, d2 = reconstruct_hermite(samples.reshape(4, nv, 3).transpose(1, 0, 2), EPSILON)
+            foot = current.eval(foot, loc=[np.concatenate(pair) for pair in zip(head, rest)])
+            current = None  # off the chain, so freed before the next map is built
+        values, d1, d2 = reconstruct_hermite(foot.reshape(4, nv, 3).transpose(1, 0, 2), EPSILON)
         dev = _norm3(values)
         dev -= 1.0
         dev = np.abs(dev, out=dev).max()

@@ -217,42 +217,26 @@ def _ring_constants(entities, g1, g2):
     return [np.ascontiguousarray(x.transpose(1, 2, 0)) for x in (cosw, 0.5 * sinw, eg1, eg2)]
 
 
-def _grid_cell(p, cells):
-    """(colatitude, longitude) indices of each point's cell in a
-    cells x cells grid."""
-    lam, theta = cart_to_sph(p)
-    it = np.clip((theta / np.pi * cells).astype(np.int64), 0, cells - 1)
-    il = np.clip((lam / (2.0 * np.pi) * cells).astype(np.int64), 0, cells - 1)
-    return it, il
-
-
 def _centre_grid(mesh):
     """An int32 grid of 16 to 512 cells per axis, holding per cell a
-    triangle that contains the cell's centre point, built from one cell
-    holding triangle 0 by doubling the cells per axis."""
-    grid = np.zeros((1, 1), dtype=np.int32)
-    while grid.shape[0] < min(512, max(16, 2 ** (mesh.level + 3))):
-        grid = _doubled(mesh, grid)
-    return grid
-
-
-def _doubled(mesh, coarse):
-    """The centre grid with twice coarse's cells per axis. Each centre
+    triangle that contains the cell's centre point. It is built from one
+    cell holding triangle 0 by doubling the cells per axis; each new centre
     walks, in blocks of _CENTRE_BLOCK cells, from the coarse cell it lies
     in. Points seeded there walk less, and their locations do not depend
     on the seed."""
-    cells = 2 * coarse.shape[0]
-    seeds = np.repeat(np.repeat(coarse, 2, axis=0), 2, axis=1).ravel()
-    centre = (np.arange(cells) + 0.5) * (np.pi / cells)
-    st, ct, sl, cl = np.sin(centre), np.cos(centre), np.sin(2.0 * centre), np.cos(2.0 * centre)
-    grid = np.empty(cells * cells, dtype=np.int32)
-    for lo in range(0, grid.size, _CENTRE_BLOCK):
-        it, il = np.divmod(np.arange(lo, min(lo + _CENTRE_BLOCK, grid.size)), cells)
-        p = np.stack([st[it] * cl[il], st[it] * sl[il], ct[it]], axis=1)
-        cur = seeds[lo:lo + len(p)].astype(np.int64)
-        _walk(mesh, p, cur)
-        grid[lo:lo + len(p)] = cur
-    return grid.reshape(cells, cells)
+    grid = np.zeros(1, dtype=np.int64)
+    cells = 1
+    while cells < min(512, max(16, 2 ** (mesh.level + 3))):
+        grid = np.repeat(np.repeat(grid.reshape(cells, cells), 2, axis=0), 2, axis=1).ravel()
+        cells *= 2
+        centre = (np.arange(cells) + 0.5) * (np.pi / cells)
+        st, ct, sl, cl = np.sin(centre), np.cos(centre), np.sin(2.0 * centre), np.cos(2.0 * centre)
+        for lo in range(0, grid.size, _CENTRE_BLOCK):
+            hi = min(lo + _CENTRE_BLOCK, grid.size)
+            it, il = np.divmod(np.arange(lo, hi), cells)
+            p = np.stack([st[it] * cl[il], st[it] * sl[il], ct[it]], axis=1)
+            _walk(mesh, p, grid[lo:hi])
+    return grid.astype(np.int32).reshape(cells, cells)
 
 
 def build_icosahedral(level):
@@ -340,7 +324,12 @@ def _triangulate(level):
 
 
 def _grid_seed(mesh, p):
-    return mesh.grid_start[_grid_cell(p, mesh.grid_start.shape[0])].astype(np.int64)
+    """The seed grid's triangle for the cell each point lies in."""
+    cells = mesh.grid_start.shape[0]
+    lam, theta = cart_to_sph(p)
+    it = np.clip((theta / np.pi * cells).astype(np.int64), 0, cells - 1)
+    il = np.clip((lam / (2.0 * np.pi) * cells).astype(np.int64), 0, cells - 1)
+    return mesh.grid_start[it, il].astype(np.int64)
 
 
 def _macro_bary(mesh, tri, p):

@@ -120,6 +120,12 @@ def test_config_validation():
         cfg = CMConfig(level=integer(1), n_steps=integer(4), t_final=1.0,
                        remap_stride=integer(2))
         assert (cfg.level, cfg.n_steps, cfg.remap_stride) == (1, 4, 2)
+    # t_final is a real number, not a bool: True would run as T = 1
+    for value in (True, np.bool_(True), "2", 1 + 0j, np.complex128(1.0), None, [1.0]):
+        with pytest.raises(ValueError, match="t_final"):
+            CMConfig(level=1, n_steps=4, t_final=value)
+    for value in (2, 0.5, np.int64(2), np.uint8(2), np.float64(0.5), np.float32(0.5)):
+        assert CMConfig(level=1, n_steps=4, t_final=value).t_final == value
     with pytest.raises(dataclasses.FrozenInstanceError):
         CMConfig(level=1, n_steps=4, t_final=1.0).n_steps = 0
 

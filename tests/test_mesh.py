@@ -84,13 +84,6 @@ def test_vertices_and_splits_unit_norm(meshes, geometry):
         assert np.max(np.abs(norms - 1.0)) < 1e-14
 
 
-def test_orientation_positive(meshes):
-    for mesh in meshes.values():
-        tris = mesh.vertices[mesh.triangles]
-        dets = np.linalg.det(tris)
-        assert np.all(dets > 0.0)
-
-
 @lru_cache(maxsize=None)
 def refined(k):
     """Vertices and triangles of the level-k mesh, by the build's own code."""
