@@ -137,10 +137,13 @@ def cart_to_sph(p):
     """Longitude in [0, 2pi) and colatitude in [0, pi] of unit points.
 
     At the poles the longitude is 0 by convention (arctan2(0, 0) = 0).
+    The wrap is the one addition that arctan2(y, x) % 2pi makes for
+    |arctan2| <= pi, bit for bit; adding 0.0 turns -0.0 into 0.0 as % does.
     """
     p = np.asarray(p, dtype=float)
     theta = np.arccos(np.clip(p[..., 2], -1.0, 1.0))
-    lam = np.arctan2(p[..., 1], p[..., 0]) % (2.0 * np.pi)
+    lam = np.arctan2(p[..., 1], p[..., 0])
+    lam = np.where(lam < 0.0, lam + 2.0 * np.pi, lam) + 0.0
     return lam, theta
 
 

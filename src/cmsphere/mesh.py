@@ -39,6 +39,13 @@ SUB_VERTS = np.array(
 # the barycenter; the wedge between spokes j and j+1 is sub-triangle j.
 SPOKES = np.array([0, 3, 1, 4, 2, 5])
 
+# Sub-triangle of a point whose macro barycentrics b are ordered by
+# (b0 > b1) + 2 (b1 > b2) + 4 (b2 > b0): sub-triangle 0 holds b0 > b1 > b2,
+# 1 holds b1 > b0 > b2, and so on around the barycenter. The barycenter has
+# b proportional to (1, 1, 1), so the corner spokes are the lines b_i = b_j
+# and the split spokes lie O(h^2) off them.
+_ORDER_SUB = np.array([0, 5, 1, 0, 3, 4, 2, 0])
+
 # Rows of the coefficient vector (length 19) that form each sub-triangle's
 # quadratic in the order (c200, c020, c002, c110, c011, c101).
 SUB_COEF = np.array(
@@ -58,8 +65,9 @@ SUB_COEF = np.array(
 RING_TARGETS = np.array([[3, 6, 5], [4, 6, 3], [5, 6, 4]])
 
 _BARY_TOL = 1e-12
-# A warm-started point stays in its previous sub-triangle when all its
-# barycentrics there exceed this: its macro barycentrics are then at least
+# A point keeps a sub-triangle, a warm start's or the one a cold point's
+# barycentric order picks, when all its barycentrics there exceed this: the
+# spoke test picks it too, and the macro barycentrics are then at least
 # about a third of it, far above _BARY_TOL, so a cold walk ends there too.
 # It is also the tie band: a point whose macro barycentrics all exceed it
 # lies in no other triangle within _BARY_TOL, even though spherical
@@ -329,7 +337,7 @@ def _grid_seed(mesh, p):
     lam, theta = cart_to_sph(p)
     it = np.clip((theta / np.pi * cells).astype(np.int64), 0, cells - 1)
     il = np.clip((lam / (2.0 * np.pi) * cells).astype(np.int64), 0, cells - 1)
-    return mesh.grid_start[it, il].astype(np.int64)
+    return np.take(mesh.grid_start.ravel(), it * cells + il).astype(np.int64)
 
 
 def _macro_bary(mesh, tri, p):
@@ -390,12 +398,24 @@ def _lowest_containing(mesh, p, cur, b):
 
 def _locate_from(mesh, p, seed):
     """Locate points p by walking from the triangles seed, which is
-    updated in place and returned as their triangles."""
-    _lowest_containing(mesh, p, seed, _walk(mesh, p, seed))
-    d = np.einsum("ksj,kj->ks", np.take(mesh.spoke_normals, seed, axis=0), p)
-    score = np.minimum(d, -np.roll(d, -1, axis=1))
-    sub = score.argmax(axis=1)
-    return seed, sub, _sub_bary(mesh, seed, sub, p)
+    updated in place and returned as their triangles.
+
+    The sub-triangle comes from the order of the walk's macro barycentrics.
+    Points that lie within _KEEP_MARGIN of its edges, near a spoke or with
+    barycentrics gone stale in _lowest_containing, take the spoke test
+    instead, so every choice is the spoke test's."""
+    b = _walk(mesh, p, seed)
+    _lowest_containing(mesh, p, seed, b)
+    sub = _ORDER_SUB[(b[:, 0] > b[:, 1]) + 2 * (b[:, 1] > b[:, 2]) + 4 * (b[:, 2] > b[:, 0])]
+    bary = _sub_bary(mesh, seed, sub, p)
+    near = np.flatnonzero(_min3(bary) <= _KEEP_MARGIN)
+    if near.size:
+        tri, q = seed[near], p[near]
+        d = np.einsum("ksj,kj->ks", np.take(mesh.spoke_normals, tri, axis=0), q)
+        score = np.minimum(d, -np.roll(d, -1, axis=1))
+        sub[near] = score.argmax(axis=1)
+        bary[near] = _sub_bary(mesh, tri, sub[near], q)
+    return seed, sub, bary
 
 
 def locate_batch(mesh, p, start=None):

@@ -100,6 +100,20 @@ def test_cart_to_sph_poles():
     assert lam == 0.0 and abs(theta - np.pi) < 1e-15
 
 
+def test_cart_to_sph_longitude_is_the_remainder_bit_for_bit():
+    # the wrap of arctan2 into [0, 2pi) is the addition % makes, signed
+    # zeros, poles, NaN and inf included
+    special = np.array([[1.0, 0.0, 0.0], [1.0, -0.0, 0.0], [-1.0, 0.0, 0.0], [-1.0, -0.0, 0.0],
+                        [0.0, 0.0, 1.0], [-0.0, -0.0, 1.0], [0.0, 0.0, -1.0], [0.0, -0.0, -1.0],
+                        [np.nan, 0.0, 0.0], [0.0, np.nan, 0.0], [np.inf, 1.0, 0.0],
+                        [-np.inf, 1.0, 0.0], [1.0, -np.inf, 0.0], [-np.inf, -np.inf, 0.0],
+                        [-1.0, -5e-324, 0.0]])
+    for p in (random_units(1 << 16, 13), special):
+        lam, _ = cart_to_sph(p)
+        want = np.arctan2(p[:, 1], p[:, 0]) % (2.0 * np.pi)
+        assert np.array_equal(lam.view(np.int64), want.view(np.int64))
+
+
 def test_rotation_matrix_properties():
     rng = np.random.default_rng(4)
     for _ in range(20):

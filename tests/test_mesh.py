@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from conftest import edge_geometry
+from conftest import edge_geometry, locate_in_triangle
 
 from cmsphere.errors import RefinementTooDeep
 from cmsphere.geom import (_cross3, _dot3, _min3, _norm3, great_circle_distance, radial_project,
@@ -14,6 +14,7 @@ from cmsphere.mesh import (
     SUB_VERTS,
     _edge_geometry,
     _edge_weights,
+    _grid_seed,
     _icosahedron,
     _refine_once,
     build_icosahedral,
@@ -267,12 +268,29 @@ def test_warm_start_on_boundaries(meshes, geometry, k):
 
 
 def lowest_containing_oracle(mesh, p):
-    """First triangle, by index, whose macro barycentrics are all >= -1e-12."""
-    tri = np.empty(len(p), dtype=np.int64)
-    for c in range(0, len(p), 2000):
-        b = np.einsum("tij,kj->kti", mesh.macro_inv, p[c : c + 2000])
-        tri[c : c + 2000] = (b.min(axis=2) >= -1e-12).argmax(axis=1)
-    return tri
+    """First triangle, by index, whose macro barycentrics are all >= -1e-12.
+
+    Searched down the refinement tree rather than over every triangle:
+    triangle t's children are 4 t .. 4 t + 3 and lie inside it, so a point
+    that a triangle contains within 1e-12 lies in each of its ancestors
+    within 1e-9. Each level keeps the (point, triangle) pairs that pass and
+    hands on their children."""
+    low = np.full(len(p), mesh.n_triangles)
+    for c in range(0, len(p), 1 << 14):
+        q = p[c : c + (1 << 14)]
+        pt, tri = np.repeat(np.arange(len(q)), 20), np.tile(np.arange(20), len(q))
+        for j in range(mesh.level + 1):
+            if j == mesh.level:
+                inv, tol = mesh.macro_inv, -1e-12
+            else:
+                verts, tris = refined(j)
+                inv, tol = np.linalg.inv(verts[tris].transpose(0, 2, 1)), -1e-9
+            keep = _min3(np.einsum("kij,kj->ki", inv[tri], q[pt])) >= tol
+            pt, tri = pt[keep], tri[keep]
+            if j < mesh.level:
+                pt, tri = np.repeat(pt, 4), (4 * tri[:, None] + np.arange(4)).ravel()
+        np.minimum.at(low[c : c + (1 << 14)], pt, tri)
+    return low
 
 
 @pytest.mark.parametrize("k", [0, 1, 3])
@@ -318,6 +336,55 @@ def test_centre_grid_locates_as_the_barycenter_grid(meshes, geometry, k):
                 geo.splits.reshape(-1, 3), near_edge):
         far = start_in(np.zeros(len(pts), dtype=np.int64))
         assert_same_location(locate_batch(mesh, pts), locate_batch(mesh, pts, start=far))
+
+
+def spoke_points(mesh, geo, n_tris, seed):
+    """Points on the centre-corner and centre-split spokes of n_tris random
+    triangles (of all of them if fewer), at a random place along each
+    spoke, and copies moved across it by 1e-14 to 1e-9."""
+    rng = np.random.default_rng(seed)
+    tri = rng.permutation(mesh.n_triangles)[:n_tris]
+    centre = geo.centers[tri][:, None]
+    ends = np.concatenate([mesh.vertices[mesh.triangles[tri]], geo.splits[tri]], axis=1)
+    on = radial_project(centre + rng.uniform(0.0, 1.0, ends.shape[:2] + (1,)) * (ends - centre))
+    normal = radial_project(np.cross(np.broadcast_to(centre, ends.shape), ends))
+    return np.concatenate([radial_project(on + d * normal).reshape(-1, 3)
+                           for d in (0.0, 1e-14, -1e-14, 1e-12, -1e-12, 1e-11, -1e-11,
+                                     1e-9, -1e-9)])
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_cold_sub_triangle_is_the_spoke_rule(meshes, geometry, k):
+    # the sub-triangle comes from the order of the macro barycentrics, with
+    # the spoke test only near a spoke; on the spokes, at the vertices,
+    # barycenters and split points, and at random points, the result is the
+    # lowest containing triangle and the spoke test's sub-triangle in it,
+    # bit for bit
+    mesh = meshes[k] if k in meshes else build_icosahedral(k)
+    geo = geometry[k] if k in geometry else edge_geometry(mesh)
+    splits = geo.splits.reshape(-1, 3)[geo.slots[:, 0]]
+    pts = np.concatenate([spoke_points(mesh, geo, 4096, 80 + k), mesh.vertices, geo.centers,
+                          splits, random_units(1 << 16, 90 + k)])
+    tri = lowest_containing_oracle(mesh, pts)
+    assert_same_location(locate_batch(mesh, pts), (tri, *locate_in_triangle(mesh, tri, pts)))
+
+
+@pytest.mark.parametrize("k", [0, 3, 5])
+def test_grid_seed_reads_the_cell_of_each_point(meshes, k):
+    # the flat read of the seed grid gives the 2-D indexed read, with the
+    # longitude wrapped by %
+    mesh = meshes[k] if k in meshes else build_icosahedral(k)
+    cells = mesh.grid_start.shape[0]
+    pts = np.concatenate([random_units(1 << 14, 100 + k), mesh.vertices,
+                          [[1.0, 0.0, 0.0], [1.0, -0.0, 0.0], [-1.0, 0.0, 0.0],
+                           [-1.0, -0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+    theta = np.arccos(np.clip(pts[:, 2], -1.0, 1.0))
+    lam = np.arctan2(pts[:, 1], pts[:, 0]) % (2.0 * np.pi)
+    it = np.clip((theta / np.pi * cells).astype(np.int64), 0, cells - 1)
+    il = np.clip((lam / (2.0 * np.pi) * cells).astype(np.int64), 0, cells - 1)
+    seed = _grid_seed(mesh, pts)
+    assert seed.dtype == np.int64
+    assert np.array_equal(seed, mesh.grid_start[it, il])
 
 
 def test_edge_arc_lengths_positive(meshes, geometry):

@@ -6,6 +6,7 @@ from conftest import reference_cosine_bells, reference_sph_harmonics, reference_
 
 from cmsphere.geom import sph_to_cart
 from cmsphere.tracers import (
+    _RSPH_BLOCK,
     BELL_CENTERS,
     BELL_RADIUS,
     correlated_pair,
@@ -89,6 +90,22 @@ def test_rsph_deterministic_and_chunked():
     assert np.array_equal(full, parts)
     other = random_sph_harmonics(seed=7, lmax=32)(pts[:100])
     assert np.abs(full[:100] - other).max() > 0.1
+
+
+def test_rsph_blocks_change_no_bit():
+    # evaluated in blocks of _RSPH_BLOCK points, rsph gives what slices of
+    # 1000 points give, at and around the block boundaries, and on an
+    # (a, b, 3) input whose rows straddle them
+    f = random_sph_harmonics(seed=42, lmax=32)
+
+    def sliced(pts):
+        return np.concatenate([f(pts[lo : lo + 1000]) for lo in range(0, len(pts), 1000)])
+
+    for n in (1, _RSPH_BLOCK - 1, _RSPH_BLOCK, _RSPH_BLOCK + 1, 3 * _RSPH_BLOCK + 5):
+        pts = random_points(n, n)
+        assert np.array_equal(f(pts), sliced(pts))
+    pts = random_points(3 * (_RSPH_BLOCK + 3), 8)
+    assert np.array_equal(f(pts.reshape(3, -1, 3)), sliced(pts).reshape(3, -1))
 
 
 def test_rsph_matches_term_by_term_reference():
