@@ -3,13 +3,13 @@
 A SphereMap interpolates the three Cartesian components of a backward map
 over one remapping window and projects evaluations radially back onto the
 sphere. A MapChain composes the per-window submaps, newest first, and
-carries the chain rule for tangent vectors and Jacobian determinants
-through the projection.
+carries the chain rule for tangent vectors through the projection.
 
-Jacobian determinants are taken in the deterministic vertex frames of
-geom.vertex_frames; since g1 x g2 equals the base point everywhere, the
-chain's determinant is the area form of the input points' frames pushed
-through the whole chain by the same walk that carries tangents.
+A submap's value is a homogeneous quadratic in the barycentrics of its
+sub-triangle, so its projected Jacobian determinant has a closed form in
+the first de Casteljau stage (MacroSpline.area_factor_located); the
+chain's determinant is the product of these over the submaps, and no
+tangent frame is pushed for it.
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ZeroVector
-from .geom import _any_below, _copy_columns, _norm3, area_form, project_differential, vertex_frames
+from .geom import _any_below, _copy_columns, _norm3, project_differential
 from .mesh import MAX_LEVEL, build_icosahedral, locate_batch
 from .spline import MacroSpline, build_coefficients
 
@@ -56,25 +56,35 @@ class SphereMap:
         """
         tri, sub, bary = locate_batch(self.spline.mesh, p) if loc is None else loc
         if dirs is None:
-            raw = self.spline.eval_located(tri, sub, bary)
-        else:
-            raw, w = self.spline.derivative_located(tri, sub, bary, dirs)
-        n = _norm3(raw)[:, None]
-        if _any_below(n, MIN_PRE_NORM):
-            raise ZeroVector("map value collapsed toward the origin")
-        # The same division with or without dirs: eval_with_jacobian's
-        # footpoints are eval's, bit for bit.
-        out = raw / n
-        if dirs is None:
-            return out
-        return out, project_differential(raw[:, None, :], w)
+            return _project(self.spline.eval_located(tri, sub, bary))[0]
+        raw, w = self.spline.derivative_located(tri, sub, bary, dirs)
+        return _project(raw)[0], project_differential(raw[:, None, :], w)
+
+    def eval_with_jacobian(self, p):
+        """Mapped points of unit points p (n, 3), eval's bit for bit, and
+        the projected map's Jacobian determinants (n,); raises as eval."""
+        raw, det = self.spline.area_factor_located(*locate_batch(self.spline.mesh, p))
+        out, n = _project(raw)
+        det /= n[:, 0] * n[:, 0] * n[:, 0]
+        return out, det
 
 
-def _frame_rows(p):
-    """The vertex frames of points p (n, 3), computed on (3, n) rows, as the
-    (n, 2, 3) view of (2, 3, n) rows, the layout derivative_located reads."""
-    g1, g2 = vertex_frames(_copy_columns(p, np.empty(p.shape, order="F")))
-    return np.stack([g1.T, g2.T]).transpose(2, 0, 1)
+def _project(raw):
+    """Map values raw (n, 3) projected onto the sphere, and their norms
+    (n, 1); every entry point divides here, so their footpoints agree."""
+    n = _norm3(raw)[:, None]
+    if _any_below(n, MIN_PRE_NORM):
+        raise ZeroVector("map value collapsed toward the origin")
+    return raw / n, n
+
+
+def _points(p):
+    """Query points p (n, 3) as a C-contiguous float array, checked finite
+    with one reduction: location would place NaN or inf anywhere."""
+    p = np.ascontiguousarray(p, dtype=float)
+    if not np.isfinite(p).all():
+        raise ValueError("query points must be finite")
+    return p
 
 
 @dataclass
@@ -98,7 +108,7 @@ class MapChain:
     def _walk(self, p, tangents=None):
         """Push points, and tangents (n, q, 3) if given, through the submaps
         newest first."""
-        out = np.ascontiguousarray(p, dtype=float)
+        out = _points(p)
         for m in reversed(self.maps):
             if tangents is None:
                 out = m.eval(out)
@@ -107,17 +117,20 @@ class MapChain:
         return out, tangents
 
     def eval(self, p):
-        """Footpoints (n, 3) of unit points p (n, 3)."""
+        """Footpoints (n, 3) of unit points p (n, 3). This and the other
+        entry points raise ValueError for a NaN or infinite coordinate."""
         return self._walk(p)[0]
 
     def eval_with_jacobian(self, p):
         """Mapped points (n, 3) of unit points p (n, 3) and the chained
-        Jacobian determinants (n,); an empty chain gives exact ones."""
-        p = np.ascontiguousarray(p, dtype=float)
-        if not self.maps:
-            return p, np.ones(p.shape[0])
-        out, t = self._walk(p, _frame_rows(p))
-        return out, area_form(out, t)
+        Jacobian determinants (n,), the product of the submaps'; an empty
+        chain gives exact ones."""
+        out = _points(p)
+        det = np.ones(out.shape[0])
+        for m in reversed(self.maps):
+            out, d = m.eval_with_jacobian(out)
+            det *= d
+        return out, det
 
     def jet(self, p, tangents):
         """Push points and per-point tangent bundles through the chain.

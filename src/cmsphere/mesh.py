@@ -2,11 +2,12 @@
 
 Each macro triangle carries prefactored inverse vertex matrices for
 barycentric solves on the macro triangle and on each of its six
-sub-triangles, and the constants that turn corner Hermite data into
-quadratic spline coefficients. The barycenters and edge split points these
-are derived from are build-time geometry: the mesh keeps only the constants.
-Split points come from a global edge table, so neighboring triangles see
-bit-identical geometry.
+sub-triangles, the determinants of the sub-triangle inverses (sub_det, for
+the spline's closed-form Jacobian), and the constants that turn corner
+Hermite data into quadratic spline coefficients. The barycenters and edge
+split points these are derived from are build-time geometry: the mesh
+keeps only the constants. Split points come from a global edge table, so
+neighboring triangles see bit-identical geometry.
 
 The spline constants keep the triangle axis T last: (corner, target, T) for
 ring_*, (r or s, edge, T) for rs and (corner, T) for center_bary.
@@ -74,6 +75,8 @@ _BARY_TOL = 1e-12
 # barycentrics scale differently from one triangle to the next.
 _KEEP_MARGIN = 1e-10
 _CENTRE_BLOCK = 1 << 14
+# Triangles per block of the sub-triangle determinants: 432 KiB of inverses.
+_DET_BLOCK = 1024
 
 
 @dataclass
@@ -86,6 +89,7 @@ class SphereMesh:
     g2: np.ndarray
     macro_inv: np.ndarray
     sub_inv: np.ndarray
+    sub_det: np.ndarray
     spoke_normals: np.ndarray
     rs: np.ndarray
     center_bary: np.ndarray
@@ -298,6 +302,13 @@ def _triangulate(level):
     # C order, so that the inverses are too and flatten to (6 T, 3, 3) freely.
     sub_mats = np.ascontiguousarray(entities[:, SUB_VERTS, :].transpose(0, 1, 3, 2))
     sub_inv = np.linalg.inv(sub_mats)
+    # Triple products of the rows, a block of triangles at a time: on the
+    # whole array every strided column read would stream all 72 bytes of
+    # each matrix from memory.
+    sub_det = np.empty(sub_inv.shape[:2])
+    for lo in range(0, len(tris), _DET_BLOCK):
+        r = sub_inv[lo:lo + _DET_BLOCK]
+        sub_det[lo:lo + _DET_BLOCK] = _dot3(r[..., 0, :], _cross3(r[..., 1, :], r[..., 2, :]))
 
     spoke_normals = _cross3(centers[:, None, :], entities[:, SPOKES, :])
     center_bary = np.ascontiguousarray(np.einsum("tij,tj->ti", macro_inv, centers).T)
@@ -319,6 +330,7 @@ def _triangulate(level):
         g2=g2,
         macro_inv=macro_inv,
         sub_inv=sub_inv,
+        sub_det=sub_det,
         spoke_normals=spoke_normals,
         rs=rs,
         center_bary=center_bary,

@@ -10,12 +10,13 @@ so every operation runs on contiguous rows of triangles or of points.
 Polynomials are evaluated in spherical barycentric coordinates, which need
 not sum to one. Values use de Casteljau recursion; directional derivatives
 use the barycentric gradient, with the direction vector itself expressed in
-barycentric coordinates.
+barycentric coordinates. The Jacobian determinant of a 3-component value
+needs no direction: it is a triple product of the first de Casteljau stage.
 """
 
 import numpy as np
 
-from .geom import _edot3
+from .geom import _cross3, _dot3, _edot3
 from .mesh import SUB_COEF
 
 # Rows 12-17 as (edge, i, j): row = r[edge] * c[i] + s[edge] * c[j] with the
@@ -127,6 +128,23 @@ class MacroSpline:
         """Values at already-located points, shape (n, m), C order."""
         b, e1, e2, e3 = self._first_stage(tri, sub, bary)
         return np.ascontiguousarray(_combine(b, e1, e2, e3, e1, np.empty_like(e1)).T)
+
+    def area_factor_located(self, tri, sub, bary):
+        """Values (n, 3), bit-identical to eval_located's, and the factors
+        4 det(B) det(E) (n,) at located points, with B the sub-triangle's
+        sub_inv and E the first-stage partial values as columns.
+
+        The value is a homogeneous quadratic in b = B p, so by Euler's
+        identity it is (E B) p and its Jacobian is 2 E B. Divided by the
+        value's norm cubed, the factor is the Jacobian determinant of the
+        value's radial projection onto the sphere, taken in tangent frames
+        with g1 x g2 = p at unit points p."""
+        b, e1, e2, e3 = self._first_stage(tri, sub, bary)
+        # det E differenced against e1, which the three nearly parallel
+        # columns would otherwise lose to cancellation.
+        det = _dot3(e1.T, _cross3((e2 - e1).T, (e3 - e1).T))
+        det *= 4.0 * np.take(self.mesh.sub_det.ravel(), tri * 6 + sub)
+        return np.ascontiguousarray(_combine(b, e1, e2, e3, e1, np.empty_like(e1)).T), det
 
     def derivative_located(self, tri, sub, bary, g):
         """Values (n, m), bit-identical to eval_located's, in C order, and

@@ -45,6 +45,34 @@ def pullback_density(chain, density, points):
     return density(x) * jac
 
 
+def longdouble_jacobian(chain, p):
+    """The chain's Jacobian determinants at unit points p (n, 3), evaluated
+    in np.longdouble from the stored coefficients and sub_inv: orthonormal
+    frames of p are pushed through each submap's de Casteljau value and
+    its barycentric derivative, projected, and the area form is taken at
+    the end. Points are located in float64, where the spline is C1."""
+    ld = np.longdouble
+    x = np.asarray(p, dtype=ld)
+    ref = np.where((np.abs(x[:, 2]) > 0.9)[:, None], np.eye(3, dtype=ld)[0], np.eye(3, dtype=ld)[2])
+    g1 = ref - np.sum(ref * x, axis=1)[:, None] * x
+    g1 /= np.sqrt(np.sum(g1 * g1, axis=1))[:, None]
+    t = np.stack([g1, np.cross(x, g1)], axis=1)
+    for m in reversed(chain.maps):
+        tri, sub, _ = locate_batch(chain.mesh, x.astype(float))
+        inv = chain.mesh.sub_inv[tri, sub].astype(ld)
+        c = m.spline.coeffs[tri[:, None], SUB_COEF[sub]].astype(ld)
+        b = np.sum(inv * x[:, None, :], axis=2)
+        bt = np.sum(inv[:, None] * t[:, :, None, :], axis=3)
+        e = [sum(b[:, k, None] * c[:, j] for k, j in enumerate(cols))
+             for cols in ([0, 3, 5], [3, 1, 4], [5, 4, 2])]
+        raw = sum(b[:, k, None] * e[k] for k in range(3))
+        w = 2 * sum(bt[..., k, None] * e[k][:, None] for k in range(3))
+        n = np.sqrt(np.sum(raw * raw, axis=1))[:, None]
+        x = raw / n
+        t = (w - np.sum(w * x[:, None], axis=2)[..., None] * x[:, None]) / n[:, None]
+    return np.sum(x * np.cross(t[:, 0], t[:, 1]), axis=1)
+
+
 def vortex_solution(flow, p, t):
     """Closed-form tracer of static_vortex or moving_vortex at (p, t).
 

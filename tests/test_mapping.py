@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import memory_layouts, sample_sphere
+from conftest import longdouble_jacobian, memory_layouts, sample_sphere
 
 from cmsphere import mapping
 from cmsphere.errors import ZeroVector
@@ -91,7 +91,8 @@ def test_jet_matches_differential_composition(mesh, points):
 
 def test_entry_points_share_one_walk(mesh, points):
     # points agree bit for bit across eval, eval_with_jacobian and jet, and
-    # the chained determinant is the area form of the frames pushed through jet
+    # the closed-form determinant is the area form of the frames pushed
+    # through jet up to rounding
     r1 = rotation_matrix(np.array([0.0, 1.0, 0.0]), 0.4)
     r2 = rotation_matrix(np.array([1.0, 0.0, 0.0]), -0.9)
     chain = MapChain(mesh=mesh, maps=[linear_map(mesh, r1), linear_map(mesh, r2)])
@@ -99,10 +100,49 @@ def test_entry_points_share_one_walk(mesh, points):
     x, dets = chain.eval_with_jacobian(points)
     assert np.array_equal(chain.eval(points), out)
     assert np.array_equal(x, out)
-    assert np.array_equal(dets, area_form(out, pushed))
+    assert np.abs(dets - area_form(out, pushed)).max() < 1e-13
     oa, ob = vertex_frames(out)
     m = np.einsum("nqj,nrj->nqr", pushed, np.stack([oa, ob], axis=1))
     assert np.abs(dets - np.linalg.det(m)).max() < 1e-13
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is float64 here, so the oracle has no extra precision")
+@pytest.mark.parametrize("name, level, n_steps, stride, n_submaps", [
+    ("deformational", 4, 20, 0, 1),
+    ("moving_vortex", 4, 50, 5, 10),
+])
+def test_jacobian_matches_extended_precision(name, level, n_steps, stride, n_submaps):
+    # The closed-form determinant against the frame walk done in extended
+    # precision: within 2e-13 relative, and no further off than the
+    # float64 frame walk that jet and area_form still carry, give or take
+    # a factor of 1.5. Skipped where np.longdouble carries no more bits
+    # than float64 (arm64 macOS, Windows), since the oracle would round
+    # as the code under test does.
+    flow = get_flow(name)
+    chain = run(flow.velocity, CMConfig(level=level, n_steps=n_steps, t_final=flow.T,
+                                        remap_stride=stride))
+    assert chain.n_submaps == n_submaps
+    p = sample_sphere(2**15, seed=3)
+    want = longdouble_jacobian(chain, p)
+    frames = area_form(*chain.jet(p, np.stack(vertex_frames(p), axis=1)))
+    err, frame_err = (float(np.max(np.abs(d - want) / np.abs(want)))
+                      for d in (chain.eval_with_jacobian(p)[1], frames))
+    assert err <= 2e-13
+    assert err <= 1.5 * frame_err
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_raise(mesh, bad):
+    # location would place such a point in an arbitrary triangle; every
+    # entry point refuses it, on an empty chain too
+    r = rotation_matrix(np.array([0.0, 0.0, 1.0]), 0.3)
+    p = np.array([[0.0, 0.0, 1.0], [bad, 0.0, 1.0]])
+    for chain in (MapChain(mesh=mesh), MapChain(mesh=mesh, maps=[linear_map(mesh, r)] * 2)):
+        for call in (chain.eval, chain.eval_with_jacobian,
+                     lambda q: chain.jet(q, np.zeros((2, 1, 3)))):
+            with pytest.raises(ValueError, match="finite"):
+                call(p)
 
 
 def test_results_do_not_depend_on_memory_order(mesh, points):

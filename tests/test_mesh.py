@@ -17,6 +17,7 @@ from cmsphere.mesh import (
     _grid_seed,
     _icosahedron,
     _refine_once,
+    _triangulate,
     build_icosahedral,
     h_max,
     locate_batch,
@@ -406,10 +407,24 @@ def test_save_mesh(tmp_path, meshes):
     assert np.max(np.abs(verts - meshes[0].vertices)) == 0.0
 
 
+@pytest.mark.parametrize("k", range(7))
+def test_sub_det_is_the_inverse_determinant(k):
+    # The spline's Jacobian factor reads det(sub_inv) as one scalar; it is
+    # the triple product of the inverse's rows. Sub-triangle 3 is listed
+    # clockwise in SUB_VERTS, so its determinant is the negative one.
+    mesh = _triangulate(k)
+    want = np.linalg.det(mesh.sub_inv)
+    assert mesh.sub_det.shape == (mesh.n_triangles, 6)
+    assert np.isfinite(mesh.sub_det).all()
+    assert np.max(np.abs(mesh.sub_det / want - 1.0)) < 1e-12
+    assert (mesh.sub_det[:, [0, 1, 2, 4, 5]] > 0.0).all()
+    assert (mesh.sub_det[:, 3] < 0.0).all()
+
+
 def test_gathered_constants_are_c_contiguous():
     # Point location and the spline gather these through flat reshapes,
     # which would copy a strided array on every call
     mesh = build_icosahedral(2)
-    for name in ("macro_inv", "sub_inv", "spoke_normals", "rs", "center_bary",
+    for name in ("macro_inv", "sub_inv", "sub_det", "spoke_normals", "rs", "center_bary",
                  "ring_cos", "ring_half_sin", "ring_g1", "ring_g2"):
         assert getattr(mesh, name).flags.c_contiguous, name

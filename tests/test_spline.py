@@ -158,7 +158,7 @@ def test_blocked_build_matches_reference(monkeypatch, block, m):
 @pytest.mark.parametrize("m", [1, 3])
 def test_derivative_values_are_eval_values(level, m):
     # SphereMap.eval takes its values from derivative_located when it pushes
-    # directions, so eval_with_jacobian's footpoints are eval's bit for bit
+    # directions, so jet's footpoints are eval's bit for bit
     mesh = build_icosahedral(level)
     rng = np.random.default_rng(level + 10 * m)
     sp = MacroSpline(mesh, build_coefficients(mesh, *rng.standard_normal((3, mesh.n_vertices, m))))
@@ -168,6 +168,10 @@ def test_derivative_values_are_eval_values(level, m):
         values, ders = sp.derivative_located(*located, g)
         assert np.array_equal(values, sp.eval_located(*located))
         assert ders.shape == (len(pts), 2, m)
+        if m == 3:  # eval_with_jacobian takes its values from area_factor_located
+            values, factors = sp.area_factor_located(*located)
+            assert np.array_equal(values, sp.eval_located(*located)) and values.flags.c_contiguous
+            assert factors.shape == (len(pts),)
 
 
 def test_constructor_paths_agree_and_share_one_buffer(mesh):
