@@ -553,7 +553,9 @@ def main(argv=None):
             raise UsageError(str(e))
         ns = _merge(args, args.command, spec)
         _check_level(ns)
-        return handler(ns)
+        # Breakdowns overflow before the finiteness checks report them.
+        with np.errstate(all="ignore"):
+            return handler(ns)
     except UsageError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

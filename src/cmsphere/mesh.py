@@ -7,7 +7,9 @@ the spline's closed-form Jacobian), and the constants that turn corner
 Hermite data into quadratic spline coefficients. The barycenters and edge
 split points these are derived from are build-time geometry: the mesh
 keeps only the constants. Split points come from a global edge table, so
-neighboring triangles see bit-identical geometry.
+neighboring triangles see bit-identical geometry. The build writes every
+per-triangle constant straight into its final array, one block of
+triangles at a time, so it peaks near the size of the mesh it returns.
 
 The spline constants keep the triangle axis T last: (corner, target, T) for
 ring_*, (r or s, edge, T) for rs and (corner, T) for center_bary.
@@ -75,8 +77,9 @@ _BARY_TOL = 1e-12
 # barycentrics scale differently from one triangle to the next.
 _KEEP_MARGIN = 1e-10
 _CENTRE_BLOCK = 1 << 14
-# Triangles per block of the sub-triangle determinants: 432 KiB of inverses.
-_DET_BLOCK = 1024
+# Triangles per block of the build's per-triangle constants: 432 KiB of
+# sub-triangle inverses. Larger blocks raise the build's peak.
+_BLOCK = 1024
 
 
 @dataclass
@@ -226,7 +229,7 @@ def _ring_constants(entities, g1, g2):
     e /= sinw[..., None]
     eg1 = _dot3(e, g1[:, :, None, :])
     eg2 = _dot3(e, g2[:, :, None, :])
-    return [np.ascontiguousarray(x.transpose(1, 2, 0)) for x in (cosw, 0.5 * sinw, eg1, eg2)]
+    return [x.transpose(1, 2, 0) for x in (cosw, 0.5 * sinw, eg1, eg2)]
 
 
 def _centre_grid(mesh):
@@ -281,37 +284,7 @@ def _triangulate(level):
 
     _, _, slots, centers, splits = _edge_geometry(verts, tris)
     adjacency = _adjacency(slots)
-
-    corners = verts[tris]
-    r, s = _edge_weights(
-        splits,
-        corners,
-        corners[:, [1, 2, 0], :],
-    )
-    rs = np.array([r.T, s.T])
-
-    macro_inv = np.linalg.inv(corners.transpose(0, 2, 1))
-
-    entities = np.concatenate([corners, splits, centers[:, None, :]], axis=1)
     g1, g2 = vertex_frames(verts)
-    # Before the sub-triangle inverses, so their memory peaks do not add up.
-    ring_cos, ring_half_sin, ring_g1, ring_g2 = _ring_constants(
-        entities, g1[tris], g2[tris]
-    )
-
-    # C order, so that the inverses are too and flatten to (6 T, 3, 3) freely.
-    sub_mats = np.ascontiguousarray(entities[:, SUB_VERTS, :].transpose(0, 1, 3, 2))
-    sub_inv = np.linalg.inv(sub_mats)
-    # Triple products of the rows, a block of triangles at a time: on the
-    # whole array every strided column read would stream all 72 bytes of
-    # each matrix from memory.
-    sub_det = np.empty(sub_inv.shape[:2])
-    for lo in range(0, len(tris), _DET_BLOCK):
-        r = sub_inv[lo:lo + _DET_BLOCK]
-        sub_det[lo:lo + _DET_BLOCK] = _dot3(r[..., 0, :], _cross3(r[..., 1, :], r[..., 2, :]))
-
-    spoke_normals = _cross3(centers[:, None, :], entities[:, SPOKES, :])
-    center_bary = np.ascontiguousarray(np.einsum("tij,tj->ti", macro_inv, centers).T)
 
     # Incident triangles of each vertex in ascending order, the lowest one
     # repeated where a vertex has only five.
@@ -320,6 +293,30 @@ def _triangulate(level):
     lo, hi = (np.searchsorted(tris.ravel()[order], ids, side) for side in ("left", "right"))
     fan = lo[:, None] + np.arange(6)
     vertex_tris = order[np.where(fan < hi[:, None], fan, lo[:, None])] // 3
+
+    n = len(tris)
+    rs = np.empty((2, 3, n))
+    macro_inv = np.empty((n, 3, 3))
+    ring_cos, ring_half_sin, ring_g1, ring_g2 = rings = [np.empty((3, 3, n)) for _ in range(4)]
+    sub_inv = np.empty((n, 6, 3, 3))
+    sub_det = np.empty((n, 6))
+    spoke_normals = np.empty((n, 6, 3))
+    center_bary = np.empty((3, n))
+    # Each block writes its triangles' constants straight into place, so the
+    # build holds no whole-mesh temporary beside the mesh itself.
+    for lo in range(0, n, _BLOCK):
+        t = slice(lo, lo + _BLOCK)
+        corners = verts[tris[t]]
+        entities = np.concatenate([corners, splits[t], centers[t, None, :]], axis=1)
+        rs[:, :, t] = np.swapaxes(_edge_weights(splits[t], corners, corners[:, [1, 2, 0], :]), 1, 2)
+        macro_inv[t] = np.linalg.inv(corners.transpose(0, 2, 1))
+        for ring, x in zip(rings, _ring_constants(entities, g1[tris[t]], g2[tris[t]])):
+            ring[..., t] = x
+        sub_inv[t] = np.linalg.inv(entities[:, SUB_VERTS, :].transpose(0, 1, 3, 2))
+        inv = sub_inv[t]
+        sub_det[t] = _dot3(inv[..., 0, :], _cross3(inv[..., 1, :], inv[..., 2, :]))
+        spoke_normals[t] = _cross3(centers[t, None, :], entities[:, SPOKES, :])
+        center_bary[:, t] = np.einsum("tij,tj->ti", macro_inv[t], centers[t]).T
 
     return SphereMesh(
         level=level,

@@ -421,9 +421,21 @@ def test_nonfinite_exit_code(exc, word, capsys, monkeypatch):
     assert err.startswith("error: ") and word in err and err.count("\n") == 1
 
 
-def test_map_leaving_sphere_exits_3(capsys):
-    # a real breakdown, not a patched one: steps far too long for the mesh
-    argv = ["run", "--test", "deformational", "--k", "1", "--n-steps", "2", "--T", "1000"]
-    assert cli.main(argv) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "sphere" in err and err.count("\n") == 1
+def test_map_leaving_sphere_exits_3(capsys, tmp_path, monkeypatch):
+    # Real breakdowns, not patched ones: steps far too long for the mesh,
+    # steps whose velocities overflow, and a subnormal step whose first
+    # velocity is already invalid. Each reports one line, with no numpy
+    # warning before it (tier-1 raises on warnings).
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+        "run --test deformational --k 1 --n-steps 2 --T 1000",
+        "run --k 1 --t 1e300",
+        "run --test static_vortex --k 1 --t 1e300 --csv o.csv",
+        "mass --k 1 --n-list 8 --T 1e300",
+        "render --k 1 --resolution 4 --t 1e300",
+        "mixing --k 1 --resolution 2 --T 1e300",
+        "run --k 1 --T 1e-320 --csv o.csv",
+    ):
+        assert cli.main(argv.split()) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "sphere" in err and err.count("\n") == 1, argv

@@ -1,11 +1,13 @@
 """Icosahedral mesh construction, refinement, and point location."""
 
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
 import pytest
 from conftest import edge_geometry, locate_in_triangle
 
+from cmsphere import mesh as mesh_module
 from cmsphere.errors import RefinementTooDeep
 from cmsphere.geom import (_cross3, _dot3, _min3, _norm3, great_circle_distance, radial_project,
                            sph_to_cart)
@@ -419,6 +421,37 @@ def test_sub_det_is_the_inverse_determinant(k):
     assert np.max(np.abs(mesh.sub_det / want - 1.0)) < 1e-12
     assert (mesh.sub_det[:, [0, 1, 2, 4, 5]] > 0.0).all()
     assert (mesh.sub_det[:, 3] < 0.0).all()
+
+
+def mesh_arrays(mesh):
+    return {name: v for name, v in vars(mesh).items() if isinstance(v, np.ndarray)}
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_build_blocks_change_no_bit(monkeypatch, k):
+    # Every per-triangle constant is a function of its own triangle only:
+    # a 7-triangle block splits every level's last block unevenly, and
+    # 1 << 20 builds every level in one block.
+    want = mesh_arrays(_triangulate(k))
+    for block in (7, 1 << 20):
+        monkeypatch.setattr(mesh_module, "_BLOCK", block)
+        got = mesh_arrays(_triangulate(k))
+        assert got.keys() == want.keys()
+        for name, value in want.items():
+            assert np.array_equal(got[name], value), (block, name)
+
+
+def test_build_peak_stays_near_the_mesh_size():
+    # The constants go straight into their final arrays a block at a time;
+    # a whole-mesh inverse or its input held beside them reads about 1.85.
+    tracemalloc.start()
+    try:
+        mesh = _triangulate(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    live = sum(v.nbytes for v in mesh_arrays(mesh).values())
+    assert peak <= 1.35 * live
 
 
 def test_gathered_constants_are_c_contiguous():
